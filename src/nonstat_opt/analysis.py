@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import SQUARED_KINDS
+
 REGIME_MATCHES_IDEALIZED = "matches-idealized"
 REGIME_BEATS_CONSTANT_ONLY = "beats-constant-only"
 REGIME_INCONCLUSIVE = "inconclusive"
@@ -156,7 +158,7 @@ def regret_from_run(record, schedule) -> float:
     """
     if record.estimator_trace is None:
         raise ValueError("run record carries no estimator trace")
-    if record.estimator_kind not in ("second-moment", "variance", "window"):
+    if record.estimator_kind not in SQUARED_KINDS:
         raise ValueError(
             f"estimator trace of kind {record.estimator_kind!r} does not hold squared values")
     levels = schedule.levels()

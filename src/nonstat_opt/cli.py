@@ -6,9 +6,9 @@ Subcommands: ``run`` (one run, with its trajectory dump), ``sweep``
 
 Configuration lives in a JSON file (schema documented in the README); any
 command-line flag wins over the corresponding config field. Sweep output is
-byte-deterministic for a given config: rows are emitted in sorted order
-regardless of worker interleaving, and the wall-time column stays zero
-unless timing collection is explicitly requested via ``--timings``.
+byte-deterministic for a given config: rows are emitted in sorted order, and
+the wall-time column stays zero unless timing collection is explicitly
+requested via ``--timings``.
 """
 from __future__ import annotations
 
@@ -16,30 +16,27 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, policy as pol
+from . import analysis
+from .estimator import SQUARED_KINDS
 from .oracle import Oracle
+from .policy import POLICIES
 from .problems import make_quadratic, make_smooth_nonconvex
-from .runner import run_convex, run_nonconvex, run_variance_adaptive
-from .schedule import NoiseSchedule
+from .runner import (RunRecord, run_convex, run_nonconvex,
+                     run_variance_adaptive)
+from .schedule import KINDS as SCHEDULE_KINDS, NoiseSchedule
 from .verify import SUITES, run_suite
 
 CSV_HEADER = ("config_hash,policy,T,alpha,seed,final_metric,bound_value,"
               "regret,oracle_queries,wall_time_ms")
 TRAJECTORY_HEADER = "k,eta,suboptimality_or_gradnormsq,estimator_value,true_level"
-WORKERS_ENV = "NONSTAT_OPT_WORKERS"
-POLICY_NAMES = ("constant", "idealized", "adaptive", "adaptive_first_moment",
-                "pnorm", "window", "variance_adaptive")
-_SQUARED_KINDS = ("second-moment", "variance", "window")
 
 
 class ConfigError(ValueError):
@@ -59,7 +56,6 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0])
     overrides: dict = field(default_factory=dict)
     out: str = "results"
-    workers: int | None = None
     timings: bool = False
 
     @classmethod
@@ -84,8 +80,6 @@ class ExperimentConfig:
             cfg.seeds = [int(s) for s in raw["seeds"]]
         if "out" in raw:
             cfg.out = str(raw["out"])
-        if "workers" in raw:
-            cfg.workers = int(raw["workers"])
         return cfg
 
     def apply_flags(self, args) -> None:
@@ -99,8 +93,6 @@ class ExperimentConfig:
             self.alphas = [float(a) for a in args.alpha.split(",")]
         if getattr(args, "seed", None) is not None:
             self.seeds = [int(args.seed)]
-        if getattr(args, "workers", None) is not None:
-            self.workers = args.workers
         if getattr(args, "m_coeff", None) is not None:
             self.overrides["m_coeff"] = args.m_coeff
         if getattr(args, "bound_const", None) is not None:
@@ -111,15 +103,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.problem.get("kind") not in ("quadratic", "smooth_nonconvex"):
             raise ConfigError(f"unknown problem kind: {self.problem.get('kind')!r}")
-        if self.schedule.get("kind") not in ("constant", "piecewise_linear",
-                                             "adversarial_spike", "custom"):
+        if self.schedule.get("kind") not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind: {self.schedule.get('kind')!r}")
         if self.schedule.get("kind") == "custom" and not self.schedule.get("path"):
             raise ConfigError("custom schedules need a 'path' to a level file")
         for p in self.policies:
-            if p not in POLICY_NAMES:
+            if p not in POLICIES:
                 raise ConfigError(
-                    f"unknown policy {p!r}; known: {', '.join(POLICY_NAMES)}")
+                    f"unknown policy {p!r}; known: {', '.join(POLICIES)}")
         if not self.policies:
             raise ConfigError("need at least one policy")
         if not self.seeds:
@@ -132,17 +123,6 @@ class ExperimentConfig:
         mc = self.overrides.get("m_coeff")
         if mc is not None and mc not in (2, 8):
             raise ConfigError(f"m_coeff must be 2 or 8; got {mc}")
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}")
-        return min(8, os.cpu_count() or 1)
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -172,63 +152,6 @@ def build_schedule(cfg: ExperimentConfig, horizon: int, alpha: float) -> NoiseSc
         raise ConfigError(
             f"custom schedule has {sched.horizon} levels but T={horizon}")
     return sched
-
-
-def build_policy(name: str, problem, schedule, horizon: int, overrides: dict):
-    ov = overrides
-    # None lets each policy kind fall back to its own coefficient default
-    m_coeff = None if ov.get("m_coeff") is None else float(ov["m_coeff"])
-    common = dict(c=ov.get("c"), m=ov.get("m"), beta=ov.get("beta"))
-    if name == "constant":
-        if problem.convex:
-            return pol.constant_baseline(problem.radius, schedule)
-        return pol.nonconvex_constant_baseline(problem, schedule)
-    if name == "idealized":
-        if problem.convex:
-            return pol.idealized_baseline(problem.radius, schedule, horizon)
-        return pol.nonconvex_idealized_baseline(problem, schedule)
-    M = schedule.max_level()
-    if name == "adaptive":
-        return pol.make_adaptive(problem.radius, M, horizon, m_coeff=m_coeff,
-                                 **common)
-    if name == "adaptive_first_moment":
-        return pol.make_adaptive(problem.radius, M, horizon, m_coeff=m_coeff,
-                                 estimator_kind="first-moment",
-                                 name="adaptive_first_moment", **common)
-    if name == "pnorm":
-        return pol.make_adaptive(problem.radius, M, horizon, m_coeff=m_coeff,
-                                 estimator_kind="pnorm",
-                                 p=float(ov.get("p", 2.0)), name="pnorm", **common)
-    if name == "window":
-        return pol.make_adaptive(problem.radius, M, horizon, m_coeff=m_coeff,
-                                 estimator_kind="window", window=ov.get("window"),
-                                 name="window", **common)
-    if name == "variance_adaptive":
-        return pol.make_variance_adaptive(problem, M, horizon, c=ov.get("c"),
-                                          m_coeff=8.0 if m_coeff is None else m_coeff,
-                                          beta=ov.get("beta"))
-    raise ConfigError(f"unknown policy {name!r}")
-
-
-def _bound_value(name: str, problem, schedule, policy, record, overrides) -> float:
-    bound_const = float(overrides.get("bound_const", 32))
-    if record.failed:
-        return math.nan
-    if name == "constant":
-        if problem.convex:
-            return analysis.bound_constant(problem.radius, schedule)
-        return analysis.stationarity_bound(problem.initial_gap(), problem.L,
-                                           schedule, record.stepsizes)
-    if name == "idealized":
-        if problem.convex:
-            return analysis.bound_idealized(problem.radius, schedule)
-        return analysis.stationarity_bound(problem.initial_gap(), problem.L,
-                                           schedule, record.stepsizes)
-    if problem.convex:
-        return analysis.adaptive_bound(problem.radius, schedule, policy.m,
-                                       bound_const)
-    return analysis.adaptive_stationarity_bound(problem.initial_gap(), problem.L,
-                                                schedule, policy.m, bound_const)
 
 
 @dataclass(frozen=True)
@@ -274,30 +197,48 @@ def _run_hash(cfg: ExperimentConfig, name: str, horizon: int, alpha: float,
 
 def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
                 alpha: float, seed: int):
-    """One (policy, T, alpha, seed) cell: returns (ResultRow, RunRecord, schedule)."""
-    schedule = build_schedule(cfg, horizon, alpha)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        policy = build_policy(name, problem, schedule, horizon, cfg.overrides)
-        oracle = Oracle(problem, schedule, seed=seed)
-        started = time.perf_counter()
-        if policy.uses_pairs:
-            record = run_variance_adaptive(problem, oracle, policy, horizon, seed)
-        elif problem.convex:
-            record = run_convex(problem, oracle, policy, horizon, seed)
-        else:
-            record = run_nonconvex(problem, oracle, policy, horizon, seed)
-        elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
-    regret_value = None
-    if (not record.failed and record.estimator_trace is not None
-            and record.estimator_kind in _SQUARED_KINDS):
-        regret_value = analysis.regret_from_run(record, schedule)
+    """One (policy, T, alpha, seed) cell: returns (ResultRow, RunRecord, schedule).
+
+    A ValueError from building, running or bounding the cell, other than a
+    ConfigError, gives a failed record that keeps the queries already drawn.
+    """
+    build, bound = POLICIES[name]
+    schedule = oracle = None
+    bound_value, regret_value = math.nan, None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            schedule = build_schedule(cfg, horizon, alpha)
+            policy = build(problem, schedule, horizon, cfg.overrides)
+            oracle = Oracle(problem, schedule, seed=seed)
+            started = time.perf_counter()
+            if policy.uses_pairs:
+                record = run_variance_adaptive(problem, oracle, policy, horizon, seed)
+            elif problem.convex:
+                record = run_convex(problem, oracle, policy, horizon, seed)
+            else:
+                record = run_nonconvex(problem, oracle, policy, horizon, seed)
+            elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
+        if not record.failed:
+            bound_value = bound(problem, schedule, policy, record,
+                                float(cfg.overrides.get("bound_const", 32)))
+            if record.estimator_kind in SQUARED_KINDS:
+                regret_value = analysis.regret_from_run(record, schedule)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        record = RunRecord(policy=name, seed=seed, horizon=horizon,
+                           stepsizes=np.zeros(0), failed=True,
+                           failure_reason=str(exc),
+                           oracle_queries=oracle.query_count if oracle else 0)
+        bound_value, regret_value, elapsed_ms = math.nan, None, 0
+    if record.failed:
+        print(f"{name} T={horizon} alpha={_fmt(alpha)} seed={seed} failed: "
+              f"{record.failure_reason}", file=sys.stderr)
     row = ResultRow(
         config_hash=_run_hash(cfg, name, horizon, alpha, seed),
         policy=name, horizon=horizon, alpha=alpha, seed=seed,
-        final_metric=record.final_metric,
-        bound_value=_bound_value(name, problem, schedule, policy, record,
-                                 cfg.overrides),
+        final_metric=record.final_metric, bound_value=bound_value,
         regret=regret_value, oracle_queries=record.oracle_queries,
         wall_time_ms=elapsed_ms if cfg.timings else 0,
         failed=record.failed)
@@ -305,21 +246,11 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool]:
-    """All grid cells, possibly concurrently; rows come back sorted."""
+    """All grid cells, one after another; rows come back sorted."""
     problem = build_problem(cfg)
-    cells = [(name, T, alpha, seed)
-             for name in cfg.policies for T in cfg.horizons
-             for alpha in cfg.alphas for seed in cfg.seeds]
-    workers = cfg.resolved_workers()
-    def _one(cell):
-        name, T, alpha, seed = cell
-        row, _, _ = execute_run(cfg, problem, name, T, alpha, seed)
-        return row
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_one, cells))
-    else:
-        rows = [_one(cell) for cell in cells]
+    rows = [execute_run(cfg, problem, name, T, alpha, seed)[0]
+            for name in cfg.policies for T in cfg.horizons
+            for alpha in cfg.alphas for seed in cfg.seeds]
     rows.sort(key=ResultRow.sort_key)
     return rows, any(r.failed for r in rows)
 
@@ -374,7 +305,6 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
     write_results_csv([row], out_dir)
     traj = write_trajectory_csv(record, schedule, row.config_hash, out_dir)
     if record.failed:
-        print(f"run failed: {record.failure_reason}", file=sys.stderr)
         return 1
     print(f"{name} T={horizon} alpha={alpha} seed={seed}: "
           f"final_metric={row.final_metric:.6g} bound={row.bound_value:.6g} "
@@ -443,7 +373,7 @@ def _add_common_flags(sub):
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int, help="replace the seed list with one seed")
     sub.add_argument("--workers", type=int,
-                     help=f"worker pool size (default: ${WORKERS_ENV} or cpu count)")
+                     help="accepted for compatibility; has no effect")
     sub.add_argument("--policy", help="comma-separated policy names")
     sub.add_argument("--T", help="comma-separated horizons")
     sub.add_argument("--alpha", help="comma-separated schedule exponents")

@@ -12,6 +12,9 @@ from collections import deque
 
 import numpy as np
 
+# Kinds whose value holds squared norms, so it is comparable to level_k^2.
+SQUARED_KINDS = ("second-moment", "variance", "window")
+
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)

@@ -6,29 +6,21 @@ standard deviation ``level / sqrt(dim)``), so the injected noise energy is
 dimension independent. Every draw advances a seeded generator, making query
 streams bit-reproducible, and every draw is counted.
 
-The ``mode`` field records how the levels are interpreted downstream:
-``variance-target`` treats level(k) as the standard deviation of the injected
-noise (which it always is, by construction), while ``second-moment-proxy``
-additionally treats level(k) as a stand-in for the root second moment of the
-returned gradient. The stand-in ignores the ||grad f(x_k)||^2 contribution;
+level(k) is the standard deviation of the injected noise, not the root
+second moment of the returned gradient, which also holds ||grad f(x_k)||^2;
 runners report the ratio ||grad f||^2 / level^2 so the gap stays visible.
 """
 from __future__ import annotations
 
 import numpy as np
 
-MODES = ("variance-target", "second-moment-proxy")
-
 
 class Oracle:
     """Unbiased gradient source: problem + schedule + seeded randomness."""
 
-    def __init__(self, problem, schedule, seed: int, mode: str = "variance-target"):
-        if mode not in MODES:
-            raise ValueError(f"unknown oracle mode: {mode!r}")
+    def __init__(self, problem, schedule, seed: int):
         self.problem = problem
         self.schedule = schedule
-        self.mode = mode
         self.seed = int(seed)
         self.query_count = 0
         self._rng = np.random.default_rng(self.seed)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
-from .estimator import (FirstMomentEMA, PowerEMA, SecondMomentEMA,
-                        VarianceEMA, WindowAverage, default_beta)
-
-_SQUARED_KINDS = ("second-moment", "variance", "window")
+from . import analysis
+from .estimator import (SQUARED_KINDS, FirstMomentEMA, PowerEMA,
+                        SecondMomentEMA, VarianceEMA, WindowAverage,
+                        default_beta)
 
 
 # -- stepsize formulas ----------------------------------------------------
@@ -56,7 +57,7 @@ def adaptive_stepsize(c: float, m: float, value: float, kind: str,
         raise ValueError(f"correction constant must be nonnegative, got {m}")
     if value < 0:
         raise ValueError(f"estimator value must be nonnegative, got {value}")
-    if kind in _SQUARED_KINDS:
+    if kind in SQUARED_KINDS:
         denom = math.sqrt(value) + m
     elif kind == "first-moment":
         denom = value + m
@@ -329,3 +330,75 @@ def nonconvex_constant_baseline(problem, schedule) -> FixedStep:
 def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
     etas = nonconvex_stepsizes(problem.initial_gap(), problem.L, schedule, "idealized")
     return ScheduledStep(lambda k: float(etas[k - 1]), name="idealized")
+
+
+# -- the policy table: name -> (build, bound) ---------------------------------
+# build(problem, schedule, horizon, overrides) honours overrides["c"] as the
+# step scale; bound(problem, schedule, policy, record, bound_const) gives the
+# rate bound at the default scale. Both look factories and analysis functions
+# up by name on each call, so wrappers installed on those modules see them.
+
+def _build_constant(problem, schedule, horizon, ov):
+    if ov.get("c") is not None:
+        return FixedStep(ov["c"], name="constant")
+    if problem.convex:
+        return constant_baseline(problem.radius, schedule)
+    return nonconvex_constant_baseline(problem, schedule)
+
+
+def _build_idealized(problem, schedule, horizon, ov):
+    c = ov.get("c")
+    if c is not None:
+        return ScheduledStep(lambda k: c / schedule.level(k), name="idealized")
+    if problem.convex:
+        return idealized_baseline(problem.radius, schedule, horizon)
+    return nonconvex_idealized_baseline(problem, schedule)
+
+
+def _float(ov, key, default):
+    return default if ov.get(key) is None else float(ov[key])
+
+
+def _build_adaptive(estimator_kind, name, problem, schedule, horizon, ov):
+    # a None m_coeff lets each estimator kind fall back to its own default
+    return make_adaptive(problem.radius, schedule.max_level(), horizon,
+                         m_coeff=_float(ov, "m_coeff", None), c=ov.get("c"),
+                         m=ov.get("m"), beta=ov.get("beta"),
+                         estimator_kind=estimator_kind,
+                         p=_float(ov, "p", 2.0), window=ov.get("window"),
+                         name=name)
+
+
+def _build_variance_adaptive(problem, schedule, horizon, ov):
+    return make_variance_adaptive(problem, schedule.max_level(), horizon,
+                                  c=ov.get("c"), m_coeff=_float(ov, "m_coeff", 8.0),
+                                  beta=ov.get("beta"))
+
+
+def _baseline_bound(convex_rate, problem, schedule, policy, record, bound_const):
+    if problem.convex:
+        return getattr(analysis, convex_rate)(problem.radius, schedule)
+    return analysis.stationarity_bound(problem.initial_gap(), problem.L,
+                                       schedule, record.stepsizes)
+
+
+def _adaptive_bound(problem, schedule, policy, record, bound_const):
+    if problem.convex:
+        return analysis.adaptive_bound(problem.radius, schedule, policy.m,
+                                       bound_const)
+    return analysis.adaptive_stationarity_bound(
+        problem.initial_gap(), problem.L, schedule, policy.m, bound_const)
+
+
+POLICIES = {
+    "constant": (_build_constant, partial(_baseline_bound, "bound_constant")),
+    "idealized": (_build_idealized, partial(_baseline_bound, "bound_idealized")),
+    "adaptive": (partial(_build_adaptive, "second-moment", "adaptive"),
+                 _adaptive_bound),
+    "adaptive_first_moment": (
+        partial(_build_adaptive, "first-moment", "adaptive_first_moment"),
+        _adaptive_bound),
+    "pnorm": (partial(_build_adaptive, "pnorm", "pnorm"), _adaptive_bound),
+    "window": (partial(_build_adaptive, "window", "window"), _adaptive_bound),
+    "variance_adaptive": (_build_variance_adaptive, _adaptive_bound),
+}

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SAMPLER_SALT = 0x5E11  # decorrelates the index-sampling stream from the oracle's
-_SQUARED_TRACE_KINDS = ("second-moment", "variance", "window")
 
 
 @dataclass
@@ -69,73 +68,90 @@ def weighted_average(xs, etas) -> np.ndarray:
     return acc / total
 
 
-def _ratio_update(state: list, true_grad: np.ndarray, level: float) -> None:
-    denom = level * level
-    if denom > 0.0:  # level^2 can underflow to zero for subnormal levels
-        state[0] += float(true_grad @ true_grad) / denom
-        state[1] += 1
+def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool,
+         keep_iterates: bool = False) -> RunRecord:
+    """SGD x_{k+1} = x_k - eta_k g_k; paired policies step with the pair average.
 
-
-def _finish_ratio(state: list) -> float:
-    return state[0] / state[1] if state[1] else math.nan
-
-
-def _abort(record: RunRecord, k: int, reason: str) -> RunRecord:
-    record.failed = True
-    record.failure_reason = f"aborted at iteration {k}: {reason}"
-    record.final_metric = math.nan
+    ``averaged`` selects the output: the stepsize-weighted average of the
+    query points x_1..x_T with an f(x_k) trace, or a stepsize-weighted random
+    index with a ||grad f(x_k)||^2 trace and eta_k <= 1/(2L) enforced. eta_k
+    is fixed before g_k is drawn. Overflow is reported by the finiteness
+    check, not by numpy warnings.
+    """
+    T = int(horizon)
+    metric = np.zeros(T)
+    record = RunRecord(policy=policy.name, seed=seed, horizon=T,
+                       stepsizes=np.zeros(T),
+                       estimator_kind=getattr(policy.estimator, "kind", None))
+    if policy.estimator is not None:
+        record.estimator_trace = np.zeros(T)
+    x = problem.start.astype(float).copy()
+    if averaged:
+        record.suboptimality = metric
+        xbar_acc = np.zeros_like(x)
+        eta_sum = 0.0
+        iterates = [] if keep_iterates else None
+    else:
+        record.grad_norm_sq = metric
+        cap = 1.0 / (2.0 * problem.L)
+        reservoir = WeightedIndexReservoir(np.random.default_rng([seed, _SAMPLER_SALT]))
+    ratio_sum, ratio_count = 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        policy.init(oracle, x)
+        for k in range(1, T + 1):
+            eta = policy.stepsize(k)
+            if not averaged and eta > cap * (1.0 + 1e-12):
+                raise ValueError(
+                    f"stepsize {eta:.4g} at k={k} exceeds the smoothness cap {cap:.4g}")
+            record.stepsizes[k - 1] = eta
+            if record.estimator_trace is not None:
+                record.estimator_trace[k - 1] = policy.estimator.value
+            if averaged:
+                metric[k - 1] = problem.value(x) - problem.f_star
+                if keep_iterates:
+                    iterates.append(x.copy())
+                xbar_acc += eta * x
+                eta_sum += eta
+            else:
+                reservoir.offer(k, eta)
+            if policy.uses_pairs:
+                g1, g2, true_grad = oracle.query_pair(x, k, with_true=True)
+                policy.observe(g1, g2)
+                g = 0.5 * (g1 + g2)
+            else:
+                g, true_grad = oracle.query(x, k, with_true=True)
+                policy.observe(g)
+            grad_sq = float(true_grad @ true_grad)
+            if not averaged:
+                metric[k - 1] = grad_sq
+            level = oracle.schedule.level(k)
+            if level * level > 0.0:  # level^2 can underflow to zero for subnormal levels
+                ratio_sum += grad_sq / (level * level)
+                ratio_count += 1
+            x = x - eta * g
+            if not np.all(np.isfinite(x)):
+                record.failed = True
+                record.failure_reason = f"aborted at iteration {k}: iterate overflow or NaN"
+                record.oracle_queries = oracle.query_count
+                return record
+    if averaged:
+        record.x_bar = xbar_acc / eta_sum
+        record.final_metric = problem.value(record.x_bar) - problem.f_star
+        record.iterates = iterates
+    else:
+        record.sampled_index = reservoir.index
+        record.final_metric = float(metric[reservoir.index - 1])
+    record.oracle_queries = oracle.query_count
+    record.mean_grad_noise_ratio = ratio_sum / ratio_count if ratio_count else math.nan
     return record
 
 
 def run_convex(problem, oracle, policy, horizon: int, seed: int,
                keep_iterates: bool = False) -> RunRecord:
-    """SGD x_{k+1} = x_k - eta_k g_k with output x_bar = sum(eta x)/sum(eta).
-
-    For adaptive policies the stepsize is fixed from the estimator state
-    before g_k is drawn; the estimator only then sees g_k. The average runs
-    over the query points x_1..x_T (the points whose gradients were used).
-    """
+    """SGD with output x_bar = sum(eta x)/sum(eta) over the query points x_1..x_T."""
     if not problem.convex:
         raise ValueError("run_convex needs a convex problem")
-    T = int(horizon)
-    record = RunRecord(policy=policy.name, seed=seed, horizon=T,
-                       stepsizes=np.zeros(T), suboptimality=np.zeros(T),
-                       estimator_kind=getattr(policy.estimator, "kind", None))
-    if policy.estimator is not None:
-        record.estimator_trace = np.zeros(T)
-    x = problem.start.astype(float).copy()
-    policy.init(oracle, x)
-    xbar_acc = np.zeros_like(x)
-    eta_sum = 0.0
-    ratio = [0.0, 0]
-    iterates = [] if keep_iterates else None
-    for k in range(1, T + 1):
-        eta = policy.stepsize(k)
-        record.stepsizes[k - 1] = eta
-        if record.estimator_trace is not None:
-            record.estimator_trace[k - 1] = policy.estimator.value
-        record.suboptimality[k - 1] = problem.value(x) - problem.f_star
-        if keep_iterates:
-            iterates.append(x.copy())
-        xbar_acc += eta * x
-        eta_sum += eta
-        if policy.uses_pairs:
-            g1, g2, true_grad = oracle.query_pair(x, k, with_true=True)
-            policy.observe(g1, g2)
-            g = 0.5 * (g1 + g2)
-        else:
-            g, true_grad = oracle.query(x, k, with_true=True)
-            policy.observe(g)
-        _ratio_update(ratio, true_grad, oracle.schedule.level(k))
-        x = x - eta * g
-        if not np.all(np.isfinite(x)):
-            return _abort(record, k, "iterate overflow or NaN")
-    record.x_bar = xbar_acc / eta_sum
-    record.final_metric = problem.value(record.x_bar) - problem.f_star
-    record.oracle_queries = oracle.query_count
-    record.mean_grad_noise_ratio = _finish_ratio(ratio)
-    record.iterates = iterates
-    return record
+    return _run(problem, oracle, policy, horizon, seed, True, keep_iterates)
 
 
 def run_nonconvex(problem, oracle, policy, horizon: int, seed: int) -> RunRecord:
@@ -145,79 +161,16 @@ def run_nonconvex(problem, oracle, policy, horizon: int, seed: int) -> RunRecord
         raise ValueError("run_nonconvex needs a problem with a known smoothness constant")
     if policy.uses_pairs:
         raise ValueError("paired policies go through run_variance_adaptive")
-    T = int(horizon)
-    cap = 1.0 / (2.0 * problem.L)
-    record = RunRecord(policy=policy.name, seed=seed, horizon=T,
-                       stepsizes=np.zeros(T), grad_norm_sq=np.zeros(T),
-                       estimator_kind=getattr(policy.estimator, "kind", None))
-    if policy.estimator is not None:
-        record.estimator_trace = np.zeros(T)
-    x = problem.start.astype(float).copy()
-    policy.init(oracle, x)
-    reservoir = WeightedIndexReservoir(np.random.default_rng([seed, _SAMPLER_SALT]))
-    ratio = [0.0, 0]
-    for k in range(1, T + 1):
-        eta = policy.stepsize(k)
-        if eta > cap * (1.0 + 1e-12):
-            raise ValueError(
-                f"stepsize {eta:.4g} at k={k} exceeds the smoothness cap {cap:.4g}")
-        record.stepsizes[k - 1] = eta
-        if record.estimator_trace is not None:
-            record.estimator_trace[k - 1] = policy.estimator.value
-        g, true_grad = oracle.query(x, k, with_true=True)
-        record.grad_norm_sq[k - 1] = float(true_grad @ true_grad)
-        _ratio_update(ratio, true_grad, oracle.schedule.level(k))
-        reservoir.offer(k, eta)
-        policy.observe(g)
-        x = x - eta * g
-        if not np.all(np.isfinite(x)):
-            return _abort(record, k, "iterate overflow or NaN")
-    record.sampled_index = reservoir.index
-    record.final_metric = float(record.grad_norm_sq[reservoir.index - 1])
-    record.oracle_queries = oracle.query_count
-    record.mean_grad_noise_ratio = _finish_ratio(ratio)
-    return record
+    return _run(problem, oracle, policy, horizon, seed, False)
 
 
-def run_variance_adaptive(problem, oracle, policy, horizon: int, seed: int,
-                          keep_iterates: bool = False) -> RunRecord:
+def run_variance_adaptive(problem, oracle, policy, horizon: int, seed: int) -> RunRecord:
     """Paired-sample run: step with the pair average, estimate the variance
     from the pair difference. Convex problems report the weighted-average
     output; others report a stepsize-weighted random iterate."""
     if not policy.uses_pairs:
         raise ValueError("run_variance_adaptive needs a paired policy")
-    if problem.convex:
-        return run_convex(problem, oracle, policy, horizon, seed, keep_iterates)
-    T = int(horizon)
-    cap = 1.0 / (2.0 * problem.L)
-    record = RunRecord(policy=policy.name, seed=seed, horizon=T,
-                       stepsizes=np.zeros(T), grad_norm_sq=np.zeros(T),
-                       estimator_trace=np.zeros(T),
-                       estimator_kind=policy.estimator.kind)
-    x = problem.start.astype(float).copy()
-    policy.init(oracle, x)
-    reservoir = WeightedIndexReservoir(np.random.default_rng([seed, _SAMPLER_SALT]))
-    ratio = [0.0, 0]
-    for k in range(1, T + 1):
-        eta = policy.stepsize(k)
-        if eta > cap * (1.0 + 1e-12):
-            raise ValueError(
-                f"stepsize {eta:.4g} at k={k} exceeds the smoothness cap {cap:.4g}")
-        record.stepsizes[k - 1] = eta
-        record.estimator_trace[k - 1] = policy.estimator.value
-        g1, g2, true_grad = oracle.query_pair(x, k, with_true=True)
-        record.grad_norm_sq[k - 1] = float(true_grad @ true_grad)
-        _ratio_update(ratio, true_grad, oracle.schedule.level(k))
-        reservoir.offer(k, eta)
-        policy.observe(g1, g2)
-        x = x - eta * 0.5 * (g1 + g2)
-        if not np.all(np.isfinite(x)):
-            return _abort(record, k, "iterate overflow or NaN")
-    record.sampled_index = reservoir.index
-    record.final_metric = float(record.grad_norm_sq[reservoir.index - 1])
-    record.oracle_queries = oracle.query_count
-    record.mean_grad_noise_ratio = _finish_ratio(ratio)
-    return record
+    return _run(problem, oracle, policy, horizon, seed, problem.convex)
 
 
 def run_estimation_only(oracle, x: np.ndarray, horizon: int, estimator) -> np.ndarray:

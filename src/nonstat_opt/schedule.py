@@ -1,9 +1,9 @@
 """Deterministic noise-level schedules for stochastic gradient oracles.
 
 A schedule assigns a noise level to every iteration index k in [1, T].
-Formula-based schedules are evaluated lazily (no length-T table is built at
-construction), so horizons up to 10^6 stay cheap; only custom schedules carry
-an explicit value array.
+Formula-based schedules build no length-T table at construction, so
+horizons up to 10^6 stay cheap to construct and summarise; ``level(k)``
+caches ``levels()`` as a float list (32 bytes per iteration) on first use.
 """
 from __future__ import annotations
 
@@ -77,6 +77,7 @@ class NoiseSchedule:
         self.alpha = float(alpha) if alpha is not None else None
         self._level = float(level) if level is not None else None
         self._values = values
+        self._table = None  # levels() as a list, built by the first level() call
 
     # -- constructors ---------------------------------------------------
 
@@ -118,33 +119,9 @@ class NoiseSchedule:
         """Noise level at iteration k, 1-indexed."""
         if not 1 <= k <= self.horizon:
             raise ValueError(f"iteration index {k} outside [1, {self.horizon}]")
-        if self.kind == "constant":
-            return self._level
-        if self.kind == "custom":
-            return float(self._values[k - 1])
-        if self.kind == "adversarial_spike":
-            if k == self.horizon // 2:
-                return 1.0
-            return float(self.horizon) ** (-self.alpha)
-        return self._piecewise_level(k)
-
-    def _piecewise_level(self, k: int) -> float:
-        # Ramps are clamped below at the floor: integer segment rounding can
-        # otherwise push the last ramp point under the floor (or below zero)
-        # when the horizon is not divisible by 5.
-        T = self.horizon
-        b1, b2, b3, b4 = T // 5, (2 * T) // 5, (3 * T) // 5, (4 * T) // 5
-        floor = float(T) ** (-self.alpha)
-        gamma = 5.0 * (1.0 - floor) / T
-        if k <= b1:
-            return floor
-        if k <= b2:
-            return max(gamma * (k - b2) + 1.0, floor)
-        if k <= b3:
-            return 1.0
-        if k <= b4:
-            return max(gamma * (b3 - k) + 1.0, floor)
-        return floor
+        if self._table is None:
+            self._table = self.levels().tolist()
+        return self._table[k - 1]
 
     def levels(self, ks=None) -> np.ndarray:
         """Vectorised levels; defaults to the full horizon 1..T."""
@@ -162,6 +139,9 @@ class NoiseSchedule:
             out = np.full(ks.shape, floor)
             out[ks == self.horizon // 2] = 1.0
             return out
+        # Ramps are clamped below at the floor: integer segment rounding can
+        # otherwise push the last ramp point under the floor (or below zero)
+        # when the horizon is not divisible by 5.
         T = self.horizon
         b1, b2, b3, b4 = T // 5, (2 * T) // 5, (3 * T) // 5, (4 * T) // 5
         floor = float(T) ** (-self.alpha)

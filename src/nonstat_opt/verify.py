@@ -75,15 +75,26 @@ def _reference_quadratic(radius: float = 1.0):
     return make_quadratic(seed=0, dim=40, n=80, radius=radius, cond=1e6)
 
 
-def _median_finals(problem, schedule, make_policy, horizon, seeds, paired=False):
-    finals = []
+def _run_seeds(problem, schedule, name, horizon, seeds, overrides=None):
+    """Yield one run of policy ``name`` per seed, each with its own oracle and
+    policy; records are not kept, so a suite holds one run's traces at a time."""
+    build, _ = pol.POLICIES[name]
     for seed in seeds:
         oracle = Oracle(problem, schedule, seed=seed)
-        p = make_policy()
-        runner = run_variance_adaptive if paired else run_convex
-        rec = runner(problem, oracle, p, horizon, seed=seed)
-        finals.append(math.inf if rec.failed else rec.final_metric)
-    return float(np.median(finals)), finals
+        policy = build(problem, schedule, horizon, overrides or {})
+        if policy.uses_pairs:
+            runner = run_variance_adaptive
+        elif problem.convex:
+            runner = run_convex
+        else:
+            runner = run_nonconvex
+        yield runner(problem, oracle, policy, horizon, seed=seed)
+
+
+def _median_final(records) -> float:
+    """Median final metric; a failed run counts as infinitely bad."""
+    return float(np.median([math.inf if r.failed else r.final_metric
+                            for r in records]))
 
 
 # -- suites ------------------------------------------------------------------
@@ -160,14 +171,8 @@ def suite_rates() -> SuiteResult:
     medians: dict[str, list] = {"constant": [], "idealized": [], "adaptive": []}
     for T in horizons:
         sched = NoiseSchedule.piecewise_linear(T, alpha)
-        makers = {
-            "constant": lambda: pol.constant_baseline(problem.radius, sched),
-            "idealized": lambda: pol.idealized_baseline(problem.radius, sched, T),
-            "adaptive": lambda: pol.make_adaptive(problem.radius,
-                                                  sched.max_level(), T),
-        }
-        for name, make in makers.items():
-            med, _ = _median_finals(problem, sched, make, T, seeds)
+        for name in medians:
+            med = _median_final(_run_seeds(problem, sched, name, T, seeds))
             medians[name].append((T, med))
     fits = {name: analysis.fit_slope(pts) for name, pts in medians.items()}
     sep = fits["constant"].slope - fits["adaptive"].slope
@@ -204,13 +209,7 @@ def suite_theorem1() -> SuiteResult:
                               ("ramp", NoiseSchedule.piecewise_linear(T, 0.25))):
         for pol_name in ("constant", "idealized"):
             finals = []
-            etas = None
-            for seed in seeds:
-                oracle = Oracle(problem, sched, seed=seed)
-                p = (pol.constant_baseline(problem.radius, sched)
-                     if pol_name == "constant"
-                     else pol.idealized_baseline(problem.radius, sched, T))
-                rec = run_convex(problem, oracle, p, T, seed=seed)
+            for rec in _run_seeds(problem, sched, pol_name, T, seeds):
                 finals.append(rec.final_metric)
                 etas = rec.stepsizes
             bound = analysis.suboptimality_bound(problem.radius, sched, etas)
@@ -233,14 +232,8 @@ def suite_theorem2() -> SuiteResult:
                                         m_coeff=m_coeff)
         bound_proved = analysis.adaptive_bound(problem.radius, sched, m, 32.0)
         bound_stated = analysis.adaptive_bound(problem.radius, sched, m, 4.0)
-        finals = []
-        for seed in seeds:
-            oracle = Oracle(problem, sched, seed=seed)
-            p = pol.make_adaptive(problem.radius, sched.max_level(), T,
-                                  m_coeff=m_coeff)
-            rec = run_convex(problem, oracle, p, T, seed=seed)
-            finals.append(rec.final_metric)
-        finals = np.asarray(finals)
+        finals = np.array([rec.final_metric for rec in _run_seeds(
+            problem, sched, "adaptive", T, seeds, {"m_coeff": m_coeff})])
         frac32 = float(np.mean(finals <= bound_proved))
         frac4 = float(np.mean(finals <= bound_stated))
         crits.append(CriterionResult(
@@ -257,12 +250,8 @@ def suite_adversarial() -> SuiteResult:
     T = 10_000
     sched = NoiseSchedule.adversarial_spike(T, 0.3)
     seeds = range(15)
-    med_adaptive, _ = _median_finals(
-        problem, sched,
-        lambda: pol.make_adaptive(problem.radius, sched.max_level(), T), T, seeds)
-    med_constant, _ = _median_finals(
-        problem, sched,
-        lambda: pol.constant_baseline(problem.radius, sched), T, seeds)
+    med_adaptive = _median_final(_run_seeds(problem, sched, "adaptive", T, seeds))
+    med_constant = _median_final(_run_seeds(problem, sched, "constant", T, seeds))
     ratio = med_adaptive / med_constant
     crit = CriterionResult(
         "adaptive-slower-by-1.5x", ratio >= 1.5, ratio, 1.5, ">=",
@@ -281,13 +270,7 @@ def suite_nonconvex() -> SuiteResult:
     crits = []
     for pol_name in ("constant", "idealized"):
         finals = []
-        etas = None
-        for seed in seeds:
-            oracle = Oracle(problem, sched, seed=seed)
-            p = (pol.nonconvex_constant_baseline(problem, sched)
-                 if pol_name == "constant"
-                 else pol.nonconvex_idealized_baseline(problem, sched))
-            rec = run_nonconvex(problem, oracle, p, T, seed=seed)
+        for rec in _run_seeds(problem, sched, pol_name, T, seeds):
             finals.append(rec.final_metric)
             etas = rec.stepsizes
         bound = analysis.stationarity_bound(delta, problem.L, sched, etas)
@@ -296,12 +279,8 @@ def suite_nonconvex() -> SuiteResult:
             f"{pol_name}-stationarity", mean <= 1.2 * bound, mean, 1.2 * bound,
             "<=", {"bound": bound, "delta": delta, "seeds": 30}))
     cap = 1.0 / (2.0 * problem.L)
-    worst = -math.inf
-    for seed in seeds:
-        oracle = Oracle(problem, sched, seed=seed)
-        p = pol.make_variance_adaptive(problem, sched.max_level(), T)
-        rec = run_variance_adaptive(problem, oracle, p, T, seed=seed)
-        worst = max(worst, float(rec.stepsizes.max()))
+    worst = max(float(rec.stepsizes.max()) for rec in _run_seeds(
+        problem, sched, "variance_adaptive", T, seeds))
     crits.append(CriterionResult(
         "paired-stepsize-cap", worst <= cap, worst, cap, "<=",
         {"enforced": "on every iteration of every run"}))
@@ -312,21 +291,8 @@ def _tuned_median(problem, sched, method, horizon, seeds):
     """Grid search the stepsize scale over powers of ten; smaller wins ties."""
     best_c, best_med = None, math.inf
     for c in TUNING_GRID:
-        if method == "constant":
-            make = lambda: pol.FixedStep(c, name="constant")
-        elif method == "idealized":
-            make = lambda: pol.ScheduledStep(
-                lambda k: c / sched.level(k), name="idealized")
-        elif method == "adaptive":
-            make = lambda: pol.make_adaptive(problem.radius, sched.max_level(),
-                                             horizon, c=c)
-        elif method == "variance_adaptive":
-            make = lambda: pol.make_variance_adaptive(problem, sched.max_level(),
-                                                      horizon, c=c)
-        else:
-            raise ValueError(method)
-        med, _ = _median_finals(problem, sched, make, horizon, seeds,
-                                paired=(method == "variance_adaptive"))
+        med = _median_final(_run_seeds(problem, sched, method, horizon, seeds,
+                                       {"c": c}))
         if med < best_med:
             best_c, best_med = c, med
     return best_c, best_med

@@ -1,11 +1,12 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from nonstat_opt.cli import (CSV_HEADER, TRAJECTORY_HEADER, ConfigError,
-                             ExperimentConfig, main)
+from nonstat_opt.cli import CSV_HEADER, TRAJECTORY_HEADER, main
+from nonstat_opt.policy import POLICIES
 
 
 def write_config(tmp_path, **overrides):
@@ -116,6 +117,64 @@ class TestSweep:
         row = (tmp_path / "out" / "results.csv").read_text().splitlines()[1]
         assert row.split(",")[5] == "nan"
 
+    @pytest.mark.parametrize("overrides, expected", [
+        # zero noise: the constant baseline's step is undefined, and so is
+        # the adaptive bound once its run is done
+        ({"schedule": {"kind": "constant", "level": 0.0},
+          "policies": ["constant", "adaptive", "variance_adaptive"]},
+         {"constant": 0, "adaptive": 61, "variance_adaptive": None}),
+        # c = 5 breaks the 1/(2L) cap at k = 1, after the estimator's seed
+        # draw; the paired rule's correction keeps it under the cap
+        ({"problem": {"kind": "smooth_nonconvex", "dim": 6, "seed": 1,
+                      "radius": 1.0},
+          "policies": ["adaptive", "variance_adaptive"],
+          "overrides": {"c": 5.0}},
+         {"adaptive": 1, "variance_adaptive": None}),
+    ])
+    def test_bad_cell_becomes_failed_row(self, tmp_path, capsys, overrides,
+                                         expected):
+        """expected: policy -> queries of its failed row, or None if it runs."""
+        cfg = write_config(tmp_path, seeds=[0], **overrides)
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(expected)
+        for row in rows:
+            fields = row.split(",")
+            queries = expected[fields[1]]
+            if queries is None:
+                assert float(fields[5]) >= 0 and float(fields[6]) > 0
+            else:
+                assert fields[5] == fields[6] == "nan"
+                assert int(fields[8]) == queries
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failed = [q for q in expected.values() if q is not None]
+        assert len([ln for ln in err.splitlines() if " failed: " in ln]) == len(failed)
+
+    # sha256 of results.csv, recorded from the three separate SGD loops that
+    # the single runner loop replaced; a change here changes published numbers
+    GOLDEN = {
+        "quadratic": ({"kind": "quadratic", "dim": 6, "n": 18, "seed": 0,
+                       "radius": 1.0},
+                      "438108456be37c02954b827ebcb008f1"
+                      "0c6592bdad3d6c5fcdb57f5612e85bab"),
+        "smooth_nonconvex": ({"kind": "smooth_nonconvex", "dim": 6, "seed": 1,
+                              "radius": 1.0},
+                             "6b71f14f596395cc7280c554f021dc8a"
+                             "32b11683105b2ad2ba04d360593b8a65"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_golden_results_bytes(self, tmp_path, kind):
+        problem, digest = self.GOLDEN[kind]
+        cfg = write_config(tmp_path, problem=problem, policies=list(POLICIES),
+                           T=[50, 120], alpha=[0.25, 1.0], seeds=[0, 1],
+                           overrides={"p": 3.0, "window": 8})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        data = (tmp_path / "out" / "results.csv").read_bytes()
+        assert len(data.splitlines()) == 1 + 7 * 2 * 2 * 2
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestRunMode:
     def test_trajectory_dump(self, tmp_path):
@@ -194,14 +253,3 @@ class TestConfigHandling:
     def test_horizon_floor(self, tmp_path):
         cfg = write_config(tmp_path, T=[2])
         assert main(["sweep", "--config", str(cfg)]) == 2
-
-    def test_workers_env_var(self, monkeypatch):
-        cfg = ExperimentConfig()
-        monkeypatch.setenv("NONSTAT_OPT_WORKERS", "3")
-        assert cfg.resolved_workers() == 3
-        monkeypatch.setenv("NONSTAT_OPT_WORKERS", "zebra")
-        with pytest.raises(ConfigError):
-            cfg.resolved_workers()
-        monkeypatch.delenv("NONSTAT_OPT_WORKERS")
-        cfg.workers = 5
-        assert cfg.resolved_workers() == 5

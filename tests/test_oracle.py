@@ -145,12 +145,3 @@ class TestBookkeeping:
         oracle = Oracle(quad, NoiseSchedule.constant(1.0, 10), seed=0)
         with pytest.raises(ValueError):
             oracle.query(quad.start, 11)
-
-    def test_modes_share_the_noise_construction(self, quad):
-        sched = NoiseSchedule.constant(0.5, 10)
-        a = Oracle(quad, sched, seed=5, mode="variance-target")
-        b = Oracle(quad, sched, seed=5, mode="second-moment-proxy")
-        np.testing.assert_array_equal(a.query(quad.start, 1),
-                                      b.query(quad.start, 1))
-        with pytest.raises(ValueError):
-            Oracle(quad, sched, seed=5, mode="bogus")

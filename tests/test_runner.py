@@ -1,21 +1,61 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, SecondMomentEMA,
-                         WeightedIndexReservoir, bound_constant,
-                         constant_baseline, idealized_baseline, make_adaptive,
-                         make_quadratic, make_smooth_nonconvex,
+from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, PairedAdaptiveStep,
+                         SecondMomentEMA, VarianceEMA, WeightedIndexReservoir,
+                         bound_constant, constant_baseline, idealized_baseline,
+                         make_adaptive, make_quadratic, make_smooth_nonconvex,
                          make_variance_adaptive, nonconvex_constant_baseline,
                          run_convex, run_estimation_only, run_nonconvex,
                          run_variance_adaptive, weighted_average)
+from nonstat_opt.policy import POLICIES
 
 
 @pytest.fixture()
 def quad():
     return make_quadratic(seed=4, dim=5, n=20)
+
+
+class SpyOracle(Oracle):
+    """Logs ("query", k) for every single or paired draw into ``events``."""
+
+    def __init__(self, problem, schedule, seed, events):
+        super().__init__(problem, schedule, seed)
+        self.events = events
+
+    def query(self, x, k, with_true=False):
+        self.events.append(("query", k))
+        return super().query(x, k, with_true)
+
+    def query_pair(self, x, k, with_true=False):
+        self.events.append(("query", k))
+        return super().query_pair(x, k, with_true)
+
+
+class SpyPolicy:
+    """Wraps a policy and logs ("stepsize", k) into ``events``."""
+
+    def __init__(self, inner, events):
+        self.inner = inner
+        self.events = events
+        self.uses_pairs = inner.uses_pairs
+        self.estimator = inner.estimator
+        self.name = inner.name
+
+    def init(self, oracle, x1):
+        self.inner.init(oracle, x1)
+
+    def stepsize(self, k):
+        self.events.append(("stepsize", k))
+        return self.inner.stepsize(k)
+
+    def observe(self, g, g2=None):
+        self.inner.observe(g, g2)
 
 
 class TestWeightedAverage:
@@ -113,32 +153,9 @@ class TestConvexRun:
         T = 15
         sched = NoiseSchedule.constant(1.0, T)
         events = []
-
-        class SpyOracle(Oracle):
-            def query(self, x, k, with_true=False):
-                events.append(("query", k))
-                return super().query(x, k, with_true)
-
-        class SpyPolicy:
-            def __init__(self, inner):
-                self.inner = inner
-                self.uses_pairs = inner.uses_pairs
-                self.estimator = inner.estimator
-                self.name = inner.name
-
-            def init(self, oracle, x1):
-                self.inner.init(oracle, x1)
-
-            def stepsize(self, k):
-                events.append(("stepsize", k))
-                return self.inner.stepsize(k)
-
-            def observe(self, g, g2=None):
-                self.inner.observe(g)
-
-        oracle = SpyOracle(quad, sched, seed=1)
+        oracle = SpyOracle(quad, sched, 1, events)
         with pytest.warns(RuntimeWarning):
-            pol = SpyPolicy(make_adaptive(quad.radius, 1.0, T))
+            pol = SpyPolicy(make_adaptive(quad.radius, 1.0, T), events)
         run_convex(quad, oracle, pol, T, seed=1)
         # drop the estimator's init query, then require strict alternation
         loop_events = events[1:]
@@ -147,13 +164,30 @@ class TestConvexRun:
             assert loop_events[2 * k - 1] == ("query", k)
 
     def test_divergence_returns_tagged_failure(self, quad):
+        """Every runner aborts quietly and accounts for the queries it drew."""
         T = 30
-        sched = NoiseSchedule.constant(0.0, T)
-        oracle = Oracle(quad, sched, seed=0)
-        rec = run_convex(quad, oracle, FixedStep(1e200), T, seed=0)
-        assert rec.failed
-        assert "overflow" in rec.failure_reason
-        assert math.isnan(rec.final_metric)
+        flat = NoiseSchedule.constant(0.0, T)
+        nonconvex = make_smooth_nonconvex(4, radius=1.0, seed=0)
+        cases = (
+            (run_convex, quad, flat, FixedStep(1e200)),
+            (run_variance_adaptive, quad, flat,
+             PairedAdaptiveStep(1e200, 1.0, VarianceEMA(0.5))),
+            # the gradient is bounded, so only overflowing noise diverges
+            (run_nonconvex, nonconvex, NoiseSchedule.constant(1e308, T),
+             FixedStep(0.25)),
+        )
+        for runner, problem, sched, policy in cases:
+            oracle = Oracle(problem, sched, seed=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rec = runner(problem, oracle, policy, T, seed=0)
+            assert rec.failed
+            assert "overflow" in rec.failure_reason
+            assert math.isnan(rec.final_metric)
+            k = int(re.search(r"iteration (\d+)", rec.failure_reason).group(1))
+            arity = 2 if policy.uses_pairs else 1
+            init = 0 if policy.estimator is None else 1
+            assert rec.oracle_queries == oracle.query_count == arity * (k + init)
 
     def test_median_tracks_constant_baseline_bound(self, quad):
         T = 2000
@@ -164,6 +198,39 @@ class TestConvexRun:
             pol = constant_baseline(quad.radius, sched)
             finals.append(run_convex(quad, oracle, pol, T, seed=seed).final_metric)
         assert float(np.median(finals)) <= bound_constant(quad.radius, sched)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "smooth_nonconvex"])
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_one_loop_contract(kind, name):
+    """Query accounting, stepsize-before-query order and the nonconvex cap,
+    for every policy through the public runners."""
+    T = 40
+    problem = (make_quadratic(seed=4, dim=5, n=20) if kind == "quadratic"
+               else make_smooth_nonconvex(4, radius=1.0, seed=0))
+    sched = NoiseSchedule.piecewise_linear(T, 0.3)
+    events = []
+    build, _ = POLICIES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        policy = SpyPolicy(build(problem, sched, T, {}), events)
+    oracle = SpyOracle(problem, sched, 2, events)
+    if policy.uses_pairs:
+        rec = run_variance_adaptive(problem, oracle, policy, T, seed=2)
+    elif problem.convex:
+        rec = run_convex(problem, oracle, policy, T, seed=2)
+    else:
+        rec = run_nonconvex(problem, oracle, policy, T, seed=2)
+    assert not rec.failed
+    arity = 2 if policy.uses_pairs else 1
+    init = 0 if policy.estimator is None else 1
+    assert rec.oracle_queries == oracle.query_count == arity * (T + init)
+    # drop the estimator's seed draw, then require strict alternation
+    loop_events = events[init:]
+    assert loop_events == [(event, k) for k in range(1, T + 1)
+                           for event in ("stepsize", "query")]
+    if not problem.convex:
+        assert rec.stepsizes.max() <= 1.0 / (2.0 * problem.L)
 
 
 class TestVarianceAdaptiveRun:
