@@ -57,6 +57,8 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
     out: str = "results"
     timings: bool = False
+    custom_schedule: NoiseSchedule | None = field(  # read by validate()
+        default=None, init=False, repr=False)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -105,8 +107,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem kind: {self.problem.get('kind')!r}")
         if self.schedule.get("kind") not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind: {self.schedule.get('kind')!r}")
-        if self.schedule.get("kind") == "custom" and not self.schedule.get("path"):
-            raise ConfigError("custom schedules need a 'path' to a level file")
+        if self.schedule.get("kind") == "custom":
+            if not self.schedule.get("path"):
+                raise ConfigError("custom schedules need a 'path' to a level file")
+            try:
+                self.custom_schedule = NoiseSchedule.from_file(self.schedule["path"])
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"custom schedule: {exc}") from None
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(
@@ -128,30 +135,27 @@ class ExperimentConfig:
 def build_problem(cfg: ExperimentConfig):
     spec = cfg.problem
     if spec["kind"] == "quadratic":
-        return make_quadratic(seed=int(spec.get("seed", 0)),
-                              dim=int(spec.get("dim", 10)),
-                              n=int(spec.get("n", 40)),
-                              radius=float(spec.get("radius", 1.0)),
-                              cond=spec.get("cond"))
-    return make_smooth_nonconvex(dim=int(spec.get("dim", 10)),
-                                 radius=float(spec.get("radius", 1.0)),
-                                 seed=int(spec.get("seed", 0)))
+        return make_quadratic(seed=int(spec["seed"]), dim=int(spec["dim"]),
+                              n=int(spec["n"]), radius=float(spec["radius"]),
+                              cond=spec["cond"])
+    return make_smooth_nonconvex(dim=int(spec["dim"]),
+                                 radius=float(spec["radius"]),
+                                 seed=int(spec["seed"]))
 
 
 def build_schedule(cfg: ExperimentConfig, horizon: int, alpha: float) -> NoiseSchedule:
-    spec = cfg.schedule
-    kind = spec["kind"]
+    """The cell's schedule; a custom one is the level file validate() read."""
+    kind = cfg.schedule["kind"]
     if kind == "constant":
-        return NoiseSchedule.constant(float(spec.get("level", 1.0)), horizon)
+        return NoiseSchedule.constant(float(cfg.schedule["level"]), horizon)
     if kind == "piecewise_linear":
         return NoiseSchedule.piecewise_linear(horizon, alpha)
     if kind == "adversarial_spike":
         return NoiseSchedule.adversarial_spike(horizon, alpha)
-    sched = NoiseSchedule.from_file(spec["path"])
-    if sched.horizon != horizon:
+    if cfg.custom_schedule.horizon != horizon:
         raise ConfigError(
-            f"custom schedule has {sched.horizon} levels but T={horizon}")
-    return sched
+            f"custom schedule has {cfg.custom_schedule.horizon} levels but T={horizon}")
+    return cfg.custom_schedule
 
 
 @dataclass(frozen=True)

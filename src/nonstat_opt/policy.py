@@ -36,11 +36,12 @@ def constant_stepsize(radius: float, schedule) -> float:
     return radius / math.sqrt(energy)
 
 
-def idealized_stepsize(radius: float, horizon: int, level: float) -> float:
-    """Per-iteration step R / (sqrt(T) * level)."""
-    if level <= 0:
-        raise ValueError(f"idealized stepsize needs a positive level, got {level}")
-    return radius / (math.sqrt(horizon) * level)
+def idealized_stepsize(radius: float, horizon: int, levels):
+    """Per-iteration steps R / (sqrt(T) * level_k), for one level or an array."""
+    levels = np.asarray(levels, dtype=float)
+    if np.any(levels <= 0):
+        raise ValueError("idealized stepsizes need strictly positive levels")
+    return radius / (math.sqrt(horizon) * levels)
 
 
 def adaptive_stepsize(c: float, m: float, value: float, kind: str,
@@ -188,17 +189,20 @@ class FixedStep(StepPolicy):
 
 
 class ScheduledStep(StepPolicy):
-    """Stepsize from a per-iteration formula, e.g. the idealized baseline."""
+    """Stepsizes eta_1..eta_T fixed before the run, e.g. the idealized baseline.
 
-    def __init__(self, eta_fn, name: str = "idealized"):
-        self._eta_fn = eta_fn
+    The sequence is validated once, here; ``stepsize(k)`` only indexes it.
+    """
+
+    def __init__(self, etas, name: str = "idealized"):
+        etas = np.asarray(etas, dtype=float)
+        if etas.ndim != 1 or not np.all(np.isfinite(etas) & (etas > 0)):
+            raise ValueError(f"{name} stepsizes must be positive and finite")
+        self._etas = etas.tolist()
         self.name = name
 
     def stepsize(self, k: int) -> float:
-        eta = float(self._eta_fn(k))
-        if not (eta > 0 and math.isfinite(eta)):
-            raise ValueError(f"stepsize at k={k} must be positive and finite, got {eta}")
-        return eta
+        return self._etas[k - 1]
 
 
 class AdaptiveStep(StepPolicy):
@@ -262,12 +266,8 @@ def constant_baseline(radius: float, schedule) -> FixedStep:
 
 
 def idealized_baseline(radius: float, schedule, horizon: int) -> ScheduledStep:
-    levels = schedule.levels()
-    if np.any(levels <= 0):
-        raise ValueError("idealized baseline needs strictly positive levels")
-    return ScheduledStep(
-        lambda k: idealized_stepsize(radius, horizon, schedule.level(k)),
-        name="idealized")
+    return ScheduledStep(idealized_stepsize(radius, horizon, schedule.levels()),
+                         name="idealized")
 
 
 def make_adaptive(radius: float, max_level: float, horizon: int,
@@ -328,15 +328,17 @@ def nonconvex_constant_baseline(problem, schedule) -> FixedStep:
 
 
 def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
-    etas = nonconvex_stepsizes(problem.initial_gap(), problem.L, schedule, "idealized")
-    return ScheduledStep(lambda k: float(etas[k - 1]), name="idealized")
+    return ScheduledStep(nonconvex_stepsizes(problem.initial_gap(), problem.L,
+                                             schedule, "idealized"),
+                         name="idealized")
 
 
 # -- the policy table: name -> (build, bound) ---------------------------------
 # build(problem, schedule, horizon, overrides) honours overrides["c"] as the
-# step scale; bound(problem, schedule, policy, record, bound_const) gives the
-# rate bound at the default scale. Both look factories and analysis functions
-# up by name on each call, so wrappers installed on those modules see them.
+# step scale; bound(problem, schedule, policy, record, bound_const) gives a
+# baseline the bound of the steps it took and an adaptive rule its rate bound
+# at the default scale. Both look factories and analysis functions up by name
+# on each call, so wrappers installed on those modules see them.
 
 def _build_constant(problem, schedule, horizon, ov):
     if ov.get("c") is not None:
@@ -347,9 +349,8 @@ def _build_constant(problem, schedule, horizon, ov):
 
 
 def _build_idealized(problem, schedule, horizon, ov):
-    c = ov.get("c")
-    if c is not None:
-        return ScheduledStep(lambda k: c / schedule.level(k), name="idealized")
+    if ov.get("c") is not None:
+        return ScheduledStep(ov["c"] / schedule.levels(), name="idealized")
     if problem.convex:
         return idealized_baseline(problem.radius, schedule, horizon)
     return nonconvex_idealized_baseline(problem, schedule)
@@ -375,9 +376,11 @@ def _build_variance_adaptive(problem, schedule, horizon, ov):
                                   beta=ov.get("beta"))
 
 
-def _baseline_bound(convex_rate, problem, schedule, policy, record, bound_const):
+def _baseline_bound(problem, schedule, policy, record, bound_const):
+    """The weighted-SGD bound evaluated on the steps the run took."""
     if problem.convex:
-        return getattr(analysis, convex_rate)(problem.radius, schedule)
+        return analysis.suboptimality_bound(problem.radius, schedule,
+                                            record.stepsizes)
     return analysis.stationarity_bound(problem.initial_gap(), problem.L,
                                        schedule, record.stepsizes)
 
@@ -391,8 +394,8 @@ def _adaptive_bound(problem, schedule, policy, record, bound_const):
 
 
 POLICIES = {
-    "constant": (_build_constant, partial(_baseline_bound, "bound_constant")),
-    "idealized": (_build_idealized, partial(_baseline_bound, "bound_idealized")),
+    "constant": (_build_constant, _baseline_bound),
+    "idealized": (_build_idealized, _baseline_bound),
     "adaptive": (partial(_build_adaptive, "second-moment", "adaptive"),
                  _adaptive_bound),
     "adaptive_first_moment": (

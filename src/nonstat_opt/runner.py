@@ -3,13 +3,12 @@
 A run owns its oracle, policy and (for index sampling) generator, so many
 runs can execute concurrently without sharing mutable state. Iterate vectors
 are never retained: the stepsize-weighted average is accumulated online and
-the nonconvex output index is drawn by weighted reservoir sampling. A debug
-flag keeps iterates at small horizons so the averaging can be cross-checked.
+the nonconvex output index is drawn by weighted reservoir sampling.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ class RunRecord:
     mean_grad_noise_ratio: float = math.nan
     failed: bool = False
     failure_reason: str | None = None
-    iterates: list = field(default=None, repr=False)
 
 
 class WeightedIndexReservoir:
@@ -68,34 +66,30 @@ def weighted_average(xs, etas) -> np.ndarray:
     return acc / total
 
 
-def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool,
-         keep_iterates: bool = False) -> RunRecord:
+def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool) -> RunRecord:
     """SGD x_{k+1} = x_k - eta_k g_k; paired policies step with the pair average.
 
-    ``averaged`` selects the output: the stepsize-weighted average of the
-    query points x_1..x_T with an f(x_k) trace, or a stepsize-weighted random
-    index with a ||grad f(x_k)||^2 trace and eta_k <= 1/(2L) enforced. eta_k
-    is fixed before g_k is drawn. Overflow is reported by the finiteness
-    check, not by numpy warnings.
+    Every run traces ||grad f(x_k)||^2. ``averaged`` selects the output: the
+    stepsize-weighted average of the query points x_1..x_T with an f(x_k)
+    trace, or a stepsize-weighted random index with eta_k <= 1/(2L)
+    enforced. eta_k is fixed before g_k is drawn. Overflow is reported by
+    the finiteness check, not by numpy warnings.
     """
     T = int(horizon)
-    metric = np.zeros(T)
+    grad_sq = np.zeros(T)
     record = RunRecord(policy=policy.name, seed=seed, horizon=T,
-                       stepsizes=np.zeros(T),
+                       stepsizes=np.zeros(T), grad_norm_sq=grad_sq,
                        estimator_kind=getattr(policy.estimator, "kind", None))
     if policy.estimator is not None:
         record.estimator_trace = np.zeros(T)
     x = problem.start.astype(float).copy()
     if averaged:
-        record.suboptimality = metric
+        record.suboptimality = np.zeros(T)
         xbar_acc = np.zeros_like(x)
         eta_sum = 0.0
-        iterates = [] if keep_iterates else None
     else:
-        record.grad_norm_sq = metric
         cap = 1.0 / (2.0 * problem.L)
         reservoir = WeightedIndexReservoir(np.random.default_rng([seed, _SAMPLER_SALT]))
-    ratio_sum, ratio_count = 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         policy.init(oracle, x)
         for k in range(1, T + 1):
@@ -107,9 +101,7 @@ def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool,
             if record.estimator_trace is not None:
                 record.estimator_trace[k - 1] = policy.estimator.value
             if averaged:
-                metric[k - 1] = problem.value(x) - problem.f_star
-                if keep_iterates:
-                    iterates.append(x.copy())
+                record.suboptimality[k - 1] = problem.value(x) - problem.f_star
                 xbar_acc += eta * x
                 eta_sum += eta
             else:
@@ -121,13 +113,7 @@ def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool,
             else:
                 g, true_grad = oracle.query(x, k, with_true=True)
                 policy.observe(g)
-            grad_sq = float(true_grad @ true_grad)
-            if not averaged:
-                metric[k - 1] = grad_sq
-            level = oracle.schedule.level(k)
-            if level * level > 0.0:  # level^2 can underflow to zero for subnormal levels
-                ratio_sum += grad_sq / (level * level)
-                ratio_count += 1
+            grad_sq[k - 1] = true_grad @ true_grad
             x = x - eta * g
             if not np.all(np.isfinite(x)):
                 record.failed = True
@@ -137,21 +123,24 @@ def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool,
     if averaged:
         record.x_bar = xbar_acc / eta_sum
         record.final_metric = problem.value(record.x_bar) - problem.f_star
-        record.iterates = iterates
     else:
         record.sampled_index = reservoir.index
-        record.final_metric = float(metric[reservoir.index - 1])
+        record.final_metric = float(grad_sq[reservoir.index - 1])
     record.oracle_queries = oracle.query_count
-    record.mean_grad_noise_ratio = ratio_sum / ratio_count if ratio_count else math.nan
+    levels = oracle.schedule.levels()[:T]
+    level_sq = levels * levels
+    noisy = level_sq > 0.0  # level^2 can underflow to zero for subnormal levels
+    if noisy.any():  # cumsum adds left to right, unlike np.sum's pairwise tree
+        ratios = grad_sq[noisy] / level_sq[noisy]
+        record.mean_grad_noise_ratio = float(np.cumsum(ratios)[-1]) / ratios.size
     return record
 
 
-def run_convex(problem, oracle, policy, horizon: int, seed: int,
-               keep_iterates: bool = False) -> RunRecord:
+def run_convex(problem, oracle, policy, horizon: int, seed: int) -> RunRecord:
     """SGD with output x_bar = sum(eta x)/sum(eta) over the query points x_1..x_T."""
     if not problem.convex:
         raise ValueError("run_convex needs a convex problem")
-    return _run(problem, oracle, policy, horizon, seed, True, keep_iterates)
+    return _run(problem, oracle, policy, horizon, seed, True)
 
 
 def run_nonconvex(problem, oracle, policy, horizon: int, seed: int) -> RunRecord:

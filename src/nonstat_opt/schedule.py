@@ -1,13 +1,12 @@
 """Deterministic noise-level schedules for stochastic gradient oracles.
 
-A schedule assigns a noise level to every iteration index k in [1, T].
-Formula-based schedules build no length-T table at construction, so
-horizons up to 10^6 stay cheap to construct and summarise; ``level(k)``
-caches ``levels()`` as a float list (32 bytes per iteration) on first use.
+A schedule assigns a noise level to every iteration index k in [1, T]. Each
+constructor computes the whole length-T level array once and stores it
+read-only: ``levels()`` returns that array and ``level(k)`` indexes a float
+list copy of it, so every reader sees the same values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,10 +31,19 @@ class ScheduleSummary:
     within_variation_bound: bool
 
 
+def _floor(horizon: int, alpha: float, min_horizon: int, kind: str) -> float:
+    """The low level T^-alpha of the alpha-parameterised kinds."""
+    if horizon < min_horizon:
+        raise ValueError(f"{kind} needs a horizon of at least {min_horizon}")
+    if alpha is None or alpha < 0:
+        raise ValueError("alpha must be a nonnegative real")
+    return float(horizon) ** (-alpha)
+
+
 class NoiseSchedule:
     """Noise level as a deterministic function of the iteration index.
 
-    Supported kinds:
+    Supported kinds, one constructor each:
 
     * ``constant`` -- one level for every iteration.
     * ``piecewise_linear`` -- low floor ``T^-alpha`` on the first and last
@@ -48,55 +56,50 @@ class NoiseSchedule:
     * ``custom`` -- explicit per-iteration values.
     """
 
-    def __init__(self, kind: str, horizon: int, *, alpha: float | None = None,
-                 level: float | None = None,
-                 values: np.ndarray | None = None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown schedule kind: {kind!r}")
-        horizon = int(horizon)
-        if horizon < 1:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if kind == "piecewise_linear" and horizon < 5:
-            raise ValueError("piecewise_linear needs a horizon of at least 5")
-        if kind == "adversarial_spike" and horizon < 2:
-            raise ValueError("adversarial_spike needs a horizon of at least 2")
-        if kind in ("piecewise_linear", "adversarial_spike"):
-            if alpha is None or alpha < 0:
-                raise ValueError("alpha must be a nonnegative real")
-        if kind == "constant":
-            if level is None or level < 0 or not math.isfinite(level):
-                raise ValueError("constant schedule needs a finite level >= 0")
-        if kind == "custom":
-            values = np.asarray(values, dtype=float)
-            if values.ndim != 1 or values.size != horizon:
-                raise ValueError("custom schedule needs one value per iteration")
-            if not np.all(np.isfinite(values)) or np.any(values < 0):
-                raise ValueError("custom levels must be finite and >= 0")
-        self.kind = kind
-        self.horizon = horizon
-        self.alpha = float(alpha) if alpha is not None else None
-        self._level = float(level) if level is not None else None
-        self._values = values
-        self._table = None  # levels() as a list, built by the first level() call
+    def __init__(self, levels):
+        levels = np.array(levels, dtype=float)  # a copy the caller cannot reach
+        if levels.ndim != 1 or levels.size == 0:
+            raise ValueError("a schedule needs one level per iteration, horizon >= 1")
+        if not np.all(np.isfinite(levels)) or np.any(levels < 0):
+            raise ValueError("levels must be finite and >= 0")
+        levels.flags.writeable = False
+        self.horizon = levels.size
+        self._levels = levels
+        self._list = levels.tolist()
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def constant(cls, level: float, horizon: int) -> "NoiseSchedule":
-        return cls("constant", horizon, level=level)
+        return cls(np.full(int(horizon), float(level)))
 
     @classmethod
     def piecewise_linear(cls, horizon: int, alpha: float) -> "NoiseSchedule":
-        return cls("piecewise_linear", horizon, alpha=alpha)
+        # Ramps are clamped below at the floor: integer segment rounding can
+        # otherwise push the last ramp point under the floor (or below zero)
+        # when the horizon is not divisible by 5.
+        T = int(horizon)
+        floor = _floor(T, alpha, 5, "piecewise_linear")
+        ks = np.arange(1, T + 1)
+        b1, b2, b3, b4 = T // 5, (2 * T) // 5, (3 * T) // 5, (4 * T) // 5
+        gamma = 5.0 * (1.0 - floor) / T
+        up = np.maximum(gamma * (ks - b2) + 1.0, floor)
+        down = np.maximum(gamma * (b3 - ks) + 1.0, floor)
+        return cls(np.select(
+            [ks <= b1, ks <= b2, ks <= b3, ks <= b4],
+            [np.full(T, floor), up, np.ones(T), down],
+            default=floor))
 
     @classmethod
     def adversarial_spike(cls, horizon: int, alpha: float) -> "NoiseSchedule":
-        return cls("adversarial_spike", horizon, alpha=alpha)
+        T = int(horizon)
+        levels = np.full(T, _floor(T, alpha, 2, "adversarial_spike"))
+        levels[T // 2 - 1] = 1.0
+        return cls(levels)
 
     @classmethod
     def custom(cls, values) -> "NoiseSchedule":
-        values = np.asarray(values, dtype=float)
-        return cls("custom", values.size, values=values)
+        return cls(values)
 
     @classmethod
     def from_file(cls, path) -> "NoiseSchedule":
@@ -119,56 +122,26 @@ class NoiseSchedule:
         """Noise level at iteration k, 1-indexed."""
         if not 1 <= k <= self.horizon:
             raise ValueError(f"iteration index {k} outside [1, {self.horizon}]")
-        if self._table is None:
-            self._table = self.levels().tolist()
-        return self._table[k - 1]
+        return self._list[k - 1]
 
-    def levels(self, ks=None) -> np.ndarray:
-        """Vectorised levels; defaults to the full horizon 1..T."""
-        if ks is None:
-            ks = np.arange(1, self.horizon + 1)
-        ks = np.asarray(ks)
-        if ks.size and (ks.min() < 1 or ks.max() > self.horizon):
-            raise ValueError("iteration indices outside the horizon")
-        if self.kind == "constant":
-            return np.full(ks.shape, self._level)
-        if self.kind == "custom":
-            return self._values[ks - 1].copy()
-        if self.kind == "adversarial_spike":
-            floor = float(self.horizon) ** (-self.alpha)
-            out = np.full(ks.shape, floor)
-            out[ks == self.horizon // 2] = 1.0
-            return out
-        # Ramps are clamped below at the floor: integer segment rounding can
-        # otherwise push the last ramp point under the floor (or below zero)
-        # when the horizon is not divisible by 5.
-        T = self.horizon
-        b1, b2, b3, b4 = T // 5, (2 * T) // 5, (3 * T) // 5, (4 * T) // 5
-        floor = float(T) ** (-self.alpha)
-        gamma = 5.0 * (1.0 - floor) / T
-        up = np.maximum(gamma * (ks - b2) + 1.0, floor)
-        down = np.maximum(gamma * (b3 - ks) + 1.0, floor)
-        return np.select(
-            [ks <= b1, ks <= b2, ks <= b3, ks <= b4],
-            [np.full(ks.shape, floor), up, np.ones(ks.shape), down],
-            default=floor,
-        )
+    def levels(self) -> np.ndarray:
+        """The read-only levels of iterations 1..T."""
+        return self._levels
 
     # -- summaries ---------------------------------------------------------
 
     def max_level(self) -> float:
-        return float(self.levels().max())
+        return float(self._levels.max())
 
     def min_level(self) -> float:
-        return float(self.levels().min())
+        return float(self._levels.min())
 
     def total_variation_sq(self) -> float:
         # Plain sequential accumulation: the reference recomputation in tests
         # must reproduce this sum exactly, so no pairwise/compensated tricks.
-        sq = self.levels() ** 2
         total = 0.0
         prev = None
-        for v in sq.tolist():
+        for v in (self._levels ** 2).tolist():
             if prev is not None:
                 total += abs(prev - v)
             prev = v
@@ -183,11 +156,3 @@ class NoiseSchedule:
             total_variation_sq=d_sq,
             within_variation_bound=bool(d_sq <= 4.0 * m * m),
         )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        extra = ""
-        if self.alpha is not None:
-            extra = f", alpha={self.alpha}"
-        if self._level is not None:
-            extra = f", level={self._level}"
-        return f"NoiseSchedule({self.kind}, T={self.horizon}{extra})"

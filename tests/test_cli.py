@@ -4,8 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nonstat_opt.cli import CSV_HEADER, TRAJECTORY_HEADER, main
+from nonstat_opt import NoiseSchedule, suboptimality_bound
+from nonstat_opt.cli import (CSV_HEADER, TRAJECTORY_HEADER, ExperimentConfig,
+                             build_problem, execute_run, main)
 from nonstat_opt.policy import POLICIES
 
 
@@ -151,6 +154,23 @@ class TestSweep:
         failed = [q for q in expected.values() if q is not None]
         assert len([ln for ln in err.splitlines() if " failed: " in ln]) == len(failed)
 
+    @pytest.mark.parametrize("name", ["constant", "idealized"])
+    def test_baseline_bound_is_the_bound_of_the_steps_taken(self, tmp_path, name):
+        T, alpha = 60, 0.5
+        schedule = NoiseSchedule.piecewise_linear(T, alpha)
+        bounds = []
+        for c in (0.001, 0.01):
+            cfg = write_config(tmp_path, policies=[name], seeds=[0], T=[T],
+                               alpha=[alpha], overrides={"c": c})
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            row = (tmp_path / "out" / "results.csv").read_text().splitlines()[1]
+            bound = float(row.split(",")[6])
+            steps = np.full(T, c) if name == "constant" else c / schedule.levels()
+            expected = suboptimality_bound(1.0, schedule, steps)
+            assert bound == pytest.approx(expected, rel=1e-9)
+            bounds.append(bound)
+        assert bounds[0] != bounds[1]
+
     # sha256 of results.csv, recorded from the three separate SGD loops that
     # the single runner loop replaced; a change here changes published numbers
     GOLDEN = {
@@ -253,3 +273,82 @@ class TestConfigHandling:
     def test_horizon_floor(self, tmp_path):
         cfg = write_config(tmp_path, T=[2])
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("content", [None, "1.0\nnot-a-number\n"],
+                             ids=["missing", "malformed"])
+    def test_bad_level_file_is_a_config_error(self, tmp_path, capsys, content):
+        levels = tmp_path / "levels.txt"
+        if content is not None:
+            levels.write_text(content, encoding="utf-8")
+        cfg = write_config(tmp_path, T=[3], seeds=[0],
+                           schedule={"kind": "custom", "path": str(levels)})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@st.composite
+def sweep_configs(draw):
+    """A small random sweep: problem and schedule kind, policies, T, alpha, seeds."""
+    T = draw(st.integers(min_value=5, max_value=60))
+    schedule = draw(st.sampled_from(
+        [{"kind": "piecewise_linear"}, {"kind": "adversarial_spike"},
+         {"kind": "constant", "level": draw(st.sampled_from([0.0, 0.3, 1.0]))},
+         {"kind": "custom"}]))
+    if schedule["kind"] == "custom":
+        schedule["levels"] = draw(st.lists(
+            st.floats(min_value=1e-3, max_value=10.0), min_size=T, max_size=T))
+    dim = draw(st.integers(min_value=2, max_value=8))
+    problem = draw(st.sampled_from([
+        {"kind": "quadratic", "dim": dim, "n": 3 * dim},
+        {"kind": "smooth_nonconvex", "dim": dim}]))
+    problem.update(seed=draw(st.integers(0, 5)), radius=1.0)
+    return {
+        "problem": problem, "schedule": schedule, "T": [T],
+        "policies": draw(st.lists(st.sampled_from(sorted(POLICIES)),
+                                  min_size=1, max_size=4, unique=True)),
+        "alpha": [draw(st.floats(min_value=0.0, max_value=1.5))],
+        "seeds": draw(st.lists(st.integers(0, 1000), min_size=1, max_size=2,
+                               unique=True)),
+    }
+
+
+class TestSweepProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(raw=sweep_configs())
+    def test_random_sweeps(self, tmp_path_factory, raw):
+        """Repeated sweeps write the same bytes; queries are arity * (T + init
+        draws); non-convex steps stay under 1/(2L)."""
+        work = tmp_path_factory.mktemp("sweep")
+        if raw["schedule"]["kind"] == "custom":
+            path = work / "levels.txt"
+            path.write_text("".join(f"{v!r}\n" for v in raw["schedule"].pop("levels")),
+                            encoding="utf-8")
+            raw["schedule"]["path"] = str(path)
+        raw["out"] = str(work / "out")
+        cfg_path = work / "config.json"
+        cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+        outputs = []
+        for _ in range(2):
+            assert main(["sweep", "--config", str(cfg_path)]) in (0, 1)
+            outputs.append((work / "out" / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        T = raw["T"][0]
+        for line in outputs[0].decode().splitlines()[1:]:
+            fields = line.split(",")
+            if fields[5] == "nan":
+                continue
+            arity = 2 if fields[1] == "variance_adaptive" else 1
+            init = 0 if fields[1] in ("constant", "idealized") else 1
+            assert int(fields[8]) == arity * (T + init)
+        cfg = ExperimentConfig.from_file(cfg_path)
+        cfg.validate()
+        problem = build_problem(cfg)
+        if problem.convex:
+            return
+        for name in cfg.policies:
+            for seed in cfg.seeds:
+                _, record, _ = execute_run(cfg, problem, name, T, cfg.alphas[0], seed)
+                if not record.failed:
+                    assert record.stepsizes.max() <= 1.0 / (2.0 * problem.L)

@@ -37,6 +37,18 @@ class SpyOracle(Oracle):
         return super().query_pair(x, k, with_true)
 
 
+class PointLog(Oracle):
+    """Keeps a copy of every single-query point in ``points``."""
+
+    def __init__(self, problem, schedule, seed):
+        super().__init__(problem, schedule, seed)
+        self.points = []
+
+    def query(self, x, k, with_true=False):
+        self.points.append(x.copy())
+        return super().query(x, k, with_true)
+
+
 class SpyPolicy:
     """Wraps a policy and logs ("stepsize", k) into ``events``."""
 
@@ -98,10 +110,11 @@ class TestConvexRun:
     def test_average_recomputable_from_kept_iterates(self, quad):
         T = 25
         sched = NoiseSchedule.piecewise_linear(T, 0.5)
-        oracle = Oracle(quad, sched, seed=5)
+        oracle = PointLog(quad, sched, seed=5)
         pol = idealized_baseline(quad.radius, sched, T)
-        rec = run_convex(quad, oracle, pol, T, seed=5, keep_iterates=True)
-        recomputed = weighted_average(rec.iterates, rec.stepsizes)
+        rec = run_convex(quad, oracle, pol, T, seed=5)
+        assert len(oracle.points) == T
+        recomputed = weighted_average(oracle.points, rec.stepsizes)
         assert np.abs(recomputed - rec.x_bar).max() <= 1e-10
 
     def test_trace_lengths_and_accounting(self, quad):
