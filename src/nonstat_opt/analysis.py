@@ -12,23 +12,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import SQUARED_KINDS
+from .estimator import SQUARED_KINDS, regret
 
 REGIME_MATCHES_IDEALIZED = "matches-idealized"
 REGIME_BEATS_CONSTANT_ONLY = "beats-constant-only"
 REGIME_INCONCLUSIVE = "inconclusive"
 
 
-def suboptimality_bound(radius: float, schedule, etas) -> float:
-    """General weighted-average SGD bound (R^2 + sum eta_k^2 m_k^2) / sum eta_k."""
+def _weighted_bound(head: float, weight: float, schedule, etas) -> float:
+    """(head + weight * sum eta_k^2 m_k^2) / sum eta_k over the whole horizon."""
     etas = np.asarray(etas, dtype=float)
     if np.any(etas <= 0):
         raise ValueError("stepsizes must be positive")
     levels = schedule.levels()
     if etas.size != levels.size:
         raise ValueError("stepsize sequence must cover the whole horizon")
-    total = float(etas.sum())
-    return (radius ** 2 + float(np.sum(etas ** 2 * levels ** 2))) / total
+    return (head + weight * float(np.sum(etas ** 2 * levels ** 2))) / float(etas.sum())
+
+
+def _harmonic(schedule, m: float) -> float:
+    """sum_k 1 / (m_k + m): the idealized (m = 0) and adaptive rates divide by it."""
+    if m < 0:
+        raise ValueError("correction constant must be nonnegative")
+    levels = schedule.levels()
+    if np.any(levels + m <= 0):
+        raise ValueError("need level + m > 0 at every iteration")
+    return float(np.sum(1.0 / (levels + m)))
+
+
+def suboptimality_bound(radius: float, schedule, etas) -> float:
+    """General weighted-average SGD bound (R^2 + sum eta_k^2 m_k^2) / sum eta_k."""
+    return _weighted_bound(radius ** 2, 1.0, schedule, etas)
 
 
 def bound_constant(radius: float, schedule) -> float:
@@ -39,11 +53,7 @@ def bound_constant(radius: float, schedule) -> float:
 
 def bound_idealized(radius: float, schedule) -> float:
     """Rate of the noise-proportional step: 2 R sqrt(T) / sum(1/m_k)."""
-    levels = schedule.levels()
-    if np.any(levels <= 0):
-        raise ValueError("idealized bound needs strictly positive levels")
-    harmonic = float(np.sum(1.0 / levels))
-    return 2.0 * radius * math.sqrt(schedule.horizon) / harmonic
+    return 2.0 * radius * math.sqrt(schedule.horizon) / _harmonic(schedule, 0.0)
 
 
 def adaptive_bound(radius: float, schedule, m: float, constant: float = 32.0) -> float:
@@ -52,35 +62,20 @@ def adaptive_bound(radius: float, schedule, m: float, constant: float = 32.0) ->
     C = 32 is the proved constant, C = 4 the headline one, and C = 12 the
     first-moment variant's. All three are selectable.
     """
-    if m < 0:
-        raise ValueError("correction constant must be nonnegative")
-    levels = schedule.levels()
-    if np.any(levels + m <= 0):
-        raise ValueError("need level + m > 0 at every iteration")
     T = schedule.horizon
-    harmonic = float(np.sum(1.0 / (levels + m)))
-    return (2.0 * radius / math.sqrt(T)) * (constant * T / harmonic)
+    return (2.0 * radius / math.sqrt(T)) * (constant * T / _harmonic(schedule, m))
 
 
 def stationarity_bound(delta: float, L: float, schedule, etas) -> float:
     """Nonconvex baseline bound (delta + (L/2) sum eta_k^2 s_k^2) / sum eta_k."""
-    etas = np.asarray(etas, dtype=float)
-    if np.any(etas <= 0):
-        raise ValueError("stepsizes must be positive")
-    levels = schedule.levels()
-    if etas.size != levels.size:
-        raise ValueError("stepsize sequence must cover the whole horizon")
-    total = float(etas.sum())
-    return (delta + 0.5 * L * float(np.sum(etas ** 2 * levels ** 2))) / total
+    return _weighted_bound(delta, 0.5 * L, schedule, etas)
 
 
 def adaptive_stationarity_bound(delta: float, L: float, schedule, m: float,
                                 constant: float = 32.0) -> float:
     """Nonconvex adaptive rate sqrt(2 L delta / T) * (C T / sum 1/(s_k + m))."""
-    levels = schedule.levels()
     T = schedule.horizon
-    harmonic = float(np.sum(1.0 / (levels + m)))
-    return math.sqrt(2.0 * L * delta / T) * (constant * T / harmonic)
+    return math.sqrt(2.0 * L * delta / T) * (constant * T / _harmonic(schedule, m))
 
 
 def classify_regime(schedule, horizon: int | None = None) -> str:
@@ -161,7 +156,4 @@ def regret_from_run(record, schedule) -> float:
     if record.estimator_kind not in SQUARED_KINDS:
         raise ValueError(
             f"estimator trace of kind {record.estimator_kind!r} does not hold squared values")
-    levels = schedule.levels()
-    if levels.size != record.estimator_trace.size:
-        raise ValueError("schedule horizon does not match the trace length")
-    return float(np.abs(record.estimator_trace - levels ** 2).sum())
+    return regret(record.estimator_trace, schedule.levels() ** 2)

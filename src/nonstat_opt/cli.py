@@ -4,11 +4,11 @@ Subcommands: ``run`` (one run, with its trajectory dump), ``sweep``
 (policy x T x alpha x seed grid), ``verify`` (named guarantee suites) and
 ``schedule-dump`` (schedule values as CSV for external plotting).
 
-Configuration lives in a JSON file (schema documented in the README); any
-command-line flag wins over the corresponding config field. Sweep output is
-byte-deterministic for a given config: rows are emitted in sorted order, and
-the wall-time column stays zero unless timing collection is explicitly
-requested via ``--timings``.
+Configuration lives in a JSON file whose keys, types and defaults are stated
+once, in ``SCHEMA``; a command-line flag replaces its key's value before the
+one parse that converts every value. Sweep output is byte-deterministic for a
+given config: rows are emitted in sorted order, and the wall-time column stays
+zero unless timing collection is explicitly requested via ``--timings``.
 """
 from __future__ import annotations
 
@@ -16,11 +16,13 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,118 +45,155 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; exits with code 2."""
 
 
-@dataclass
-class ExperimentConfig:
-    problem: dict = field(default_factory=lambda: {
-        "kind": "quadratic", "dim": 10, "n": 40, "seed": 0, "radius": 1.0,
-        "cond": None})
-    schedule: dict = field(default_factory=lambda: {
-        "kind": "piecewise_linear", "level": 1.0, "path": None})
-    policies: list = field(default_factory=lambda: ["constant"])
-    horizons: list = field(default_factory=lambda: [1000])
-    alphas: list = field(default_factory=lambda: [0.5])
-    seeds: list = field(default_factory=lambda: [0])
-    overrides: dict = field(default_factory=dict)
-    out: str = "results"
-    timings: bool = False
-    custom_schedule: NoiseSchedule | None = field(  # read by validate()
-        default=None, init=False, repr=False)
+# -- the config schema: key -> (converter, default) ---------------------------
+# A converter turns a JSON value, or a flag's string, into its key's type and
+# raises TypeError or ValueError on anything else; a list converter also splits
+# a comma-separated string, so "--T 10,20" and "T": "10,20" are one value.
+
+def _int(value) -> int:
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not math.isfinite(number := float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _one_of(convert, *allowed):
+    def check(value):
+        value = convert(value)
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(map(str, allowed))}, "
+                             f"got {value!r}")
+        return value
+    return check
+
+
+def _list(convert):
+    def check(value):
+        if isinstance(value, str):
+            value = [item.strip() for item in value.split(",") if item.strip()]
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"expected a non-empty list, got {value!r}")
+        return [convert(item) for item in value]
+    return check
+
+
+# A dict value is a section. problem and schedule are merged with their
+# defaults; overrides are kept as given, and a null one is unset like a missing
+# one, leaving the policy's own default.
+SCHEMA = {
+    "problem": {"kind": (_one_of(str, "quadratic", "smooth_nonconvex"), "quadratic"),
+                "dim": (_int, 10), "n": (_int, 40), "seed": (_int, 0),
+                "radius": (_real, 1.0), "cond": (_optional(_real), None)},
+    "schedule": {"kind": (_one_of(str, *SCHEDULE_KINDS), "piecewise_linear"),
+                 "level": (_real, 1.0), "path": (_optional(os.fspath), None)},
+    "policies": (_list(_one_of(str, *POLICIES)), ["constant"]),
+    "T": (_list(_int), [1000]),
+    "alpha": (_list(_real), [0.5]),
+    "seeds": (_list(_int), [0]),
+    "overrides": {"c": (_optional(_real), None), "m": (_optional(_real), None),
+                  "beta": (_optional(_real), None), "p": (_optional(_real), None),
+                  "m_coeff": (_optional(_one_of(_int, 2, 8)), None),
+                  "bound_const": (_optional(_one_of(_int, 4, 32, 12)), 32),
+                  "window": (_optional(_int), None)},
+    "out": (os.fspath, "results"),
+}
+
+
+def _parse(prefix: str, given, schema: dict, fill: bool = True) -> dict:
+    """A raw config or section converted; ``fill`` sets missing keys to their defaults."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config'}: expected an object, got {given!r}")
+    unknown = sorted(set(given) - set(schema))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key; known: {', '.join(schema)}")
+    values = {}
+    for key in schema if fill else given:
+        if isinstance(schema[key], dict):
+            values[key] = _parse(f"{key}.", given.get(key, {}), schema[key],
+                                 fill=key != "overrides")
+        else:
+            convert, default = schema[key]
+            try:
+                values[key] = convert(given.get(key, default))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{prefix}{key}: {exc}") from None
+    return values
+
+
+class ExperimentConfig(SimpleNamespace):
+    """One converted value per SCHEMA key, plus ``timings`` (the --timings flag)
+    and ``custom_schedule`` (a custom schedule's level file, read once)."""
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        cfg = cls()
-        for key in ("problem", "schedule", "overrides"):
-            if key in raw:
-                getattr(cfg, key).update(raw[key])
-        if "policies" in raw:
-            cfg.policies = list(raw["policies"])
-        if "T" in raw:
-            cfg.horizons = [int(t) for t in raw["T"]]
-        if "alpha" in raw:
-            cfg.alphas = [float(a) for a in raw["alpha"]]
-        if "seeds" in raw:
-            cfg.seeds = [int(s) for s in raw["seeds"]]
-        if "out" in raw:
-            cfg.out = str(raw["out"])
-        return cfg
-
-    def apply_flags(self, args) -> None:
-        if getattr(args, "out", None):
-            self.out = args.out
-        if getattr(args, "policy", None):
-            self.policies = [p.strip() for p in args.policy.split(",") if p.strip()]
-        if getattr(args, "T", None):
-            self.horizons = [int(t) for t in args.T.split(",")]
-        if getattr(args, "alpha", None):
-            self.alphas = [float(a) for a in args.alpha.split(",")]
-        if getattr(args, "seed", None) is not None:
-            self.seeds = [int(args.seed)]
-        if getattr(args, "m_coeff", None) is not None:
-            self.overrides["m_coeff"] = args.m_coeff
-        if getattr(args, "bound_const", None) is not None:
-            self.overrides["bound_const"] = args.bound_const
-        if getattr(args, "timings", False):
-            self.timings = True
-
-    def validate(self) -> None:
-        if self.problem.get("kind") not in ("quadratic", "smooth_nonconvex"):
-            raise ConfigError(f"unknown problem kind: {self.problem.get('kind')!r}")
-        if self.schedule.get("kind") not in SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind: {self.schedule.get('kind')!r}")
-        if self.schedule.get("kind") == "custom":
-            if not self.schedule.get("path"):
-                raise ConfigError("custom schedules need a 'path' to a level file")
+    def load(cls, args) -> "ExperimentConfig":
+        """The --config file with every flag that was given laid over it, parsed."""
+        raw = {}
+        if args.config:
             try:
-                self.custom_schedule = NoiseSchedule.from_file(self.schedule["path"])
+                raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        if isinstance(raw, dict):  # parse() rejects anything else
+            given = {"out": args.out, "policies": args.policy, "T": args.T,
+                     "alpha": args.alpha,
+                     "seeds": None if args.seed is None else [args.seed]}
+            raw.update((k, v) for k, v in given.items() if v is not None)
+            given = {"m_coeff": args.m_coeff, "bound_const": args.bound_const}
+            if isinstance(raw.setdefault("overrides", {}), dict):
+                raw["overrides"].update((k, v) for k, v in given.items() if v is not None)
+        return cls.parse(raw, timings=args.timings)
+
+    @classmethod
+    def parse(cls, raw, timings: bool = False) -> "ExperimentConfig":
+        """Every value converted by SCHEMA; then the horizons and a level file checked."""
+        cfg = cls(**_parse("", raw, SCHEMA), timings=timings, custom_schedule=None)
+        if min(cfg.T) < 3:
+            raise ConfigError(f"T: every horizon must be at least 3, got {min(cfg.T)}")
+        if cfg.schedule["kind"] == "custom":
+            path = cfg.schedule["path"]
+            if not path:
+                raise ConfigError("schedule.path: a custom schedule needs a level file")
+            try:
+                cfg.custom_schedule = NoiseSchedule.from_file(path)
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"custom schedule: {exc}") from None
-        for p in self.policies:
-            if p not in POLICIES:
-                raise ConfigError(
-                    f"unknown policy {p!r}; known: {', '.join(POLICIES)}")
-        if not self.policies:
-            raise ConfigError("need at least one policy")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if not self.horizons or min(self.horizons) < 3:
-            raise ConfigError("every horizon T must be at least 3")
-        bc = self.overrides.get("bound_const")
-        if bc is not None and bc not in (4, 32, 12):
-            raise ConfigError(f"bound_const must be one of 4, 32, 12; got {bc}")
-        mc = self.overrides.get("m_coeff")
-        if mc is not None and mc not in (2, 8):
-            raise ConfigError(f"m_coeff must be 2 or 8; got {mc}")
+                raise ConfigError(f"schedule.path: {exc}") from None
+            if set(cfg.T) != {cfg.custom_schedule.horizon}:
+                raise ConfigError(f"schedule.path: {path} has {cfg.custom_schedule.horizon}"
+                                  f" levels, but T is {cfg.T}")
+        return cfg
 
 
 def build_problem(cfg: ExperimentConfig):
+    """The config's problem; a value its factory rejects is a ConfigError."""
     spec = cfg.problem
-    if spec["kind"] == "quadratic":
-        return make_quadratic(seed=int(spec["seed"]), dim=int(spec["dim"]),
-                              n=int(spec["n"]), radius=float(spec["radius"]),
-                              cond=spec["cond"])
-    return make_smooth_nonconvex(dim=int(spec["dim"]),
-                                 radius=float(spec["radius"]),
-                                 seed=int(spec["seed"]))
+    try:
+        if spec["kind"] == "quadratic":
+            return make_quadratic(seed=spec["seed"], dim=spec["dim"], n=spec["n"],
+                                  radius=spec["radius"], cond=spec["cond"])
+        return make_smooth_nonconvex(dim=spec["dim"], radius=spec["radius"],
+                                     seed=spec["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from None
 
 
 def build_schedule(cfg: ExperimentConfig, horizon: int, alpha: float) -> NoiseSchedule:
-    """The cell's schedule; a custom one is the level file validate() read."""
+    """The cell's schedule; a custom one is the level file parse() read."""
     kind = cfg.schedule["kind"]
     if kind == "constant":
-        return NoiseSchedule.constant(float(cfg.schedule["level"]), horizon)
+        return NoiseSchedule.constant(cfg.schedule["level"], horizon)
     if kind == "piecewise_linear":
         return NoiseSchedule.piecewise_linear(horizon, alpha)
     if kind == "adversarial_spike":
         return NoiseSchedule.adversarial_spike(horizon, alpha)
-    if cfg.custom_schedule.horizon != horizon:
-        raise ConfigError(
-            f"custom schedule has {cfg.custom_schedule.horizon} levels but T={horizon}")
     return cfg.custom_schedule
 
 
@@ -195,7 +234,7 @@ def _run_hash(cfg: ExperimentConfig, name: str, horizon: int, alpha: float,
         "problem": cfg.problem, "schedule": cfg.schedule, "policy": name,
         "T": horizon, "alpha": alpha, "seed": seed, "overrides": cfg.overrides,
     }
-    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -203,10 +242,11 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
                 alpha: float, seed: int):
     """One (policy, T, alpha, seed) cell: returns (ResultRow, RunRecord, schedule).
 
-    A ValueError from building, running or bounding the cell, other than a
-    ConfigError, gives a failed record that keeps the queries already drawn.
+    A ValueError from building, running or bounding the cell gives a failed
+    record that keeps the queries already drawn.
     """
     build, bound = POLICIES[name]
+    bound_const = cfg.overrides.get("bound_const") or SCHEMA["overrides"]["bound_const"][1]
     schedule = oracle = None
     bound_value, regret_value = math.nan, None
     try:
@@ -224,12 +264,9 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
                 record = run_nonconvex(problem, oracle, policy, horizon, seed)
             elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
         if not record.failed:
-            bound_value = bound(problem, schedule, policy, record,
-                                float(cfg.overrides.get("bound_const", 32)))
+            bound_value = bound(problem, schedule, policy, record, float(bound_const))
             if record.estimator_kind in SQUARED_KINDS:
                 regret_value = analysis.regret_from_run(record, schedule)
-    except ConfigError:
-        raise
     except ValueError as exc:
         record = RunRecord(policy=name, seed=seed, horizon=horizon,
                            stepsizes=np.zeros(0), failed=True,
@@ -253,18 +290,20 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool]:
     """All grid cells, one after another; rows come back sorted."""
     problem = build_problem(cfg)
     rows = [execute_run(cfg, problem, name, T, alpha, seed)[0]
-            for name in cfg.policies for T in cfg.horizons
-            for alpha in cfg.alphas for seed in cfg.seeds]
+            for name in cfg.policies for T in cfg.T
+            for alpha in cfg.alpha for seed in cfg.seeds]
     rows.sort(key=ResultRow.sort_key)
     return rows, any(r.failed for r in rows)
 
 
-def write_results_csv(rows, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "results.csv"
-    lines = [CSV_HEADER] + [r.to_csv() for r in rows]
+def _write_lines(path: Path, lines) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
+
+
+def write_results_csv(rows, out_dir: Path) -> Path:
+    return _write_lines(out_dir / "results.csv", [CSV_HEADER] + [r.to_csv() for r in rows])
 
 
 def write_summary_csv(rows, out_dir: Path) -> Path:
@@ -276,34 +315,27 @@ def write_summary_csv(rows, out_dir: Path) -> Path:
     for (name, T, alpha), vals in sorted(groups.items()):
         med = float(np.median(vals))
         lines.append(f"{name},{T},{_fmt(alpha)},{len(vals)},{_fmt(med)}")
-    path = out_dir / "summary.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return _write_lines(out_dir / "summary.csv", lines)
 
 
 def write_trajectory_csv(record, schedule, config_hash: str, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"trajectory_{config_hash}.csv"
     metric = (record.suboptimality if record.suboptimality is not None
               else record.grad_norm_sq)
     est = record.estimator_trace
     lines = [TRAJECTORY_HEADER]
-    n = record.stepsizes.size if not record.failed else 0
-    for i in range(n):
+    for i, level in enumerate([] if record.failed else schedule.levels().tolist()):
         lines.append(",".join([
             str(i + 1), _fmt(record.stepsizes[i]), _fmt(metric[i]),
-            _fmt(est[i]) if est is not None else "nan",
-            _fmt(schedule.level(i + 1))]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+            _fmt(est[i]) if est is not None else "nan", _fmt(level)]))
+    return _write_lines(out_dir / f"trajectory_{config_hash}.csv", lines)
 
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_run(cfg: ExperimentConfig) -> int:
+def _cmd_run(cfg: ExperimentConfig, args) -> int:
     problem = build_problem(cfg)
     name = cfg.policies[0]
-    horizon, alpha, seed = cfg.horizons[0], cfg.alphas[0], cfg.seeds[0]
+    horizon, alpha, seed = cfg.T[0], cfg.alpha[0], cfg.seeds[0]
     row, record, schedule = execute_run(cfg, problem, name, horizon, alpha, seed)
     out_dir = Path(cfg.out)
     write_results_csv([row], out_dir)
@@ -320,7 +352,7 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: ExperimentConfig) -> int:
+def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows, any_failed = run_sweep(cfg)
     out_dir = Path(cfg.out)
     path = write_results_csv(rows, out_dir)
@@ -332,12 +364,10 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_verify(args, cfg: ExperimentConfig) -> int:
+def _cmd_verify(cfg: ExperimentConfig, args) -> int:
+    if args.suite not in (*SUITES, "all"):
+        raise ConfigError(f"unknown suite {args.suite!r}; known: {', '.join(SUITES)}, all")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(
-                f"unknown suite {name!r}; known: {', '.join(SUITES)}, all")
     report = {}
     all_passed = True
     for name in names:
@@ -346,49 +376,46 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
         all_passed &= result.passed
         for crit in result.criteria:
             print(f"[{name}] {crit.describe()}")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "verify_report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path = _write_lines(Path(cfg.out) / "verify_report.json",
+                        [json.dumps(report, indent=2, sort_keys=True)])
     print(f"wrote {path}")
     return 0 if all_passed else 1
 
 
 def _cmd_schedule_dump(cfg: ExperimentConfig, args) -> int:
-    horizon, alpha = cfg.horizons[0], cfg.alphas[0]
-    schedule = build_schedule(cfg, horizon, alpha)
-    lines = ["k,level"] + [f"{k},{_fmt(schedule.level(k))}"
-                           for k in range(1, horizon + 1)]
-    text = "\n".join(lines) + "\n"
+    try:
+        schedule = build_schedule(cfg, cfg.T[0], cfg.alpha[0])
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from None
+    lines = ["k,level"] + [f"{k},{_fmt(level)}"
+                           for k, level in enumerate(schedule.levels().tolist(), 1)]
     if args.out:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "schedule.csv"
-        path.write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {path}")
+        print(f"wrote {_write_lines(Path(cfg.out) / 'schedule.csv', lines)}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _add_common_flags(sub):
     sub.add_argument("--config", help="path to a JSON experiment config")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="replace the seed list with one seed")
+    sub.add_argument("--seed", help="replace the seed list with one seed")
     sub.add_argument("--workers", type=int,
                      help="accepted for compatibility; has no effect")
     sub.add_argument("--policy", help="comma-separated policy names")
     sub.add_argument("--T", help="comma-separated horizons")
     sub.add_argument("--alpha", help="comma-separated schedule exponents")
-    sub.add_argument("--m-coeff", dest="m_coeff", type=int, choices=(2, 8),
+    sub.add_argument("--m-coeff", dest="m_coeff",
                      help="coefficient in the adaptive correction constant")
-    sub.add_argument("--bound-const", dest="bound_const", type=int,
-                     choices=(4, 32, 12),
+    sub.add_argument("--bound-const", dest="bound_const",
                      help="constant used when evaluating the adaptive rate bound")
     sub.add_argument("--timings", action="store_true",
                      help="record real wall times (breaks byte-for-byte "
                           "reproducibility of results.csv)")
+
+
+COMMANDS = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify,
+            "schedule-dump": _cmd_schedule_dump}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,21 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = ExperimentConfig.from_file(args.config)
-        else:
-            cfg = ExperimentConfig()
-        cfg.apply_flags(args)
-        cfg.validate()
-        if args.command == "run":
-            return _cmd_run(cfg)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        if args.command == "schedule-dump":
-            return _cmd_schedule_dump(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](ExperimentConfig.load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -273,9 +273,9 @@ def idealized_baseline(radius: float, schedule, horizon: int) -> ScheduledStep:
 def make_adaptive(radius: float, max_level: float, horizon: int,
                   m_coeff: float | None = None, c: float | None = None,
                   m: float | None = None, beta: float | None = None,
-                  estimator_kind: str = "second-moment", p: float = 2.0,
+                  estimator_kind: str = "second-moment", p: float | None = None,
                   window: int | None = None, name: str = "adaptive") -> AdaptiveStep:
-    """Adaptive policy with recommended parameters, any of them overridable."""
+    """Adaptive policy with recommended parameters; a None parameter takes its default."""
     if estimator_kind == "first-moment":
         c_def, m_def, beta_def = first_moment_defaults(
             radius, max_level, horizon,
@@ -292,7 +292,7 @@ def make_adaptive(radius: float, max_level: float, horizon: int,
     elif estimator_kind == "first-moment":
         est = FirstMomentEMA(beta)
     elif estimator_kind == "pnorm":
-        est = PowerEMA(beta, p)
+        est = PowerEMA(beta, 2.0 if p is None else p)
     elif estimator_kind == "window":
         est = WindowAverage(window if window is not None else max(1, horizon // 10))
     else:
@@ -301,7 +301,7 @@ def make_adaptive(radius: float, max_level: float, horizon: int,
 
 
 def make_variance_adaptive(problem, max_level: float, horizon: int,
-                           c: float | None = None, m_coeff: float = 8.0,
+                           c: float | None = None, m_coeff: float | None = None,
                            beta: float | None = None,
                            name: str = "variance_adaptive") -> PairedAdaptiveStep:
     """Variance-adaptive policy; needs the problem's smoothness constant.
@@ -316,8 +316,8 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
             c = problem.radius / math.sqrt(horizon)
         else:
             c = math.sqrt(2.0 * problem.initial_gap() / (problem.L * horizon))
-    m = variance_adaptive_correction(
-        c, problem.L, variance_m_base(max_level, horizon, coeff=m_coeff))
+    m_base = variance_m_base(max_level, horizon, 8.0 if m_coeff is None else m_coeff)
+    m = variance_adaptive_correction(c, problem.L, m_base)
     beta = default_beta(horizon) if beta is None else beta
     return PairedAdaptiveStep(c, m, VarianceEMA(beta), name=name)
 
@@ -335,10 +335,10 @@ def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
 
 # -- the policy table: name -> (build, bound) ---------------------------------
 # build(problem, schedule, horizon, overrides) honours overrides["c"] as the
-# step scale; bound(problem, schedule, policy, record, bound_const) gives a
-# baseline the bound of the steps it took and an adaptive rule its rate bound
-# at the default scale. Both look factories and analysis functions up by name
-# on each call, so wrappers installed on those modules see them.
+# step scale, a None override meaning unset; bound(problem, schedule, policy,
+# record, bound_const) gives a baseline the bound of the steps it took and an
+# adaptive rule its rate bound at the default scale. Both look factories and
+# analysis functions up by name on each call, so wrappers installed there see them.
 
 def _build_constant(problem, schedule, horizon, ov):
     if ov.get("c") is not None:
@@ -356,23 +356,17 @@ def _build_idealized(problem, schedule, horizon, ov):
     return nonconvex_idealized_baseline(problem, schedule)
 
 
-def _float(ov, key, default):
-    return default if ov.get(key) is None else float(ov[key])
-
-
 def _build_adaptive(estimator_kind, name, problem, schedule, horizon, ov):
-    # a None m_coeff lets each estimator kind fall back to its own default
     return make_adaptive(problem.radius, schedule.max_level(), horizon,
-                         m_coeff=_float(ov, "m_coeff", None), c=ov.get("c"),
+                         m_coeff=ov.get("m_coeff"), c=ov.get("c"),
                          m=ov.get("m"), beta=ov.get("beta"),
                          estimator_kind=estimator_kind,
-                         p=_float(ov, "p", 2.0), window=ov.get("window"),
-                         name=name)
+                         p=ov.get("p"), window=ov.get("window"), name=name)
 
 
 def _build_variance_adaptive(problem, schedule, horizon, ov):
     return make_variance_adaptive(problem, schedule.max_level(), horizon,
-                                  c=ov.get("c"), m_coeff=_float(ov, "m_coeff", 8.0),
+                                  c=ov.get("c"), m_coeff=ov.get("m_coeff"),
                                   beta=ov.get("beta"))
 
 

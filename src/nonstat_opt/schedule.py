@@ -137,11 +137,11 @@ class NoiseSchedule:
         return float(self._levels.min())
 
     def total_variation_sq(self) -> float:
-        # Plain sequential accumulation: the reference recomputation in tests
-        # must reproduce this sum exactly, so no pairwise/compensated tricks.
+        # A plain sequential sum of level(k) ** 2 terms, which the tests recompute
+        # exactly; numpy's array square (x * x) can differ from x ** 2 by an ulp.
         total = 0.0
         prev = None
-        for v in (self._levels ** 2).tolist():
+        for v in [level ** 2 for level in self._list]:
             if prev is not None:
                 total += abs(prev - v)
             prev = v

@@ -8,7 +8,8 @@ from nonstat_opt import (NoiseSchedule, RunRecord, adaptive_bound,
                          classify_regime, fit_slope, regret_from_run,
                          stationarity_bound, suboptimality_bound)
 from nonstat_opt.analysis import (REGIME_BEATS_CONSTANT_ONLY,
-                                  REGIME_MATCHES_IDEALIZED)
+                                  REGIME_MATCHES_IDEALIZED,
+                                  adaptive_stationarity_bound)
 
 
 class TestBaselineBounds:
@@ -113,6 +114,16 @@ class TestAdaptiveBound:
         b4 = adaptive_bound(1.0, sched, 1.0, 4.0)
         assert adaptive_bound(1.0, sched, 1.0, 32.0) == pytest.approx(8 * b4)
         assert adaptive_bound(1.0, sched, 1.0, 12.0) == pytest.approx(3 * b4)
+
+    @pytest.mark.parametrize("bound", [adaptive_bound, adaptive_stationarity_bound])
+    @pytest.mark.parametrize("level, m", [(0.0, 0.0), (1.0, -0.5)],
+                             ids=["zero-level-and-m", "negative-m"])
+    def test_degenerate_correction_rejected(self, bound, level, m):
+        # both rates divide by sum 1/(level_k + m); the nonconvex one used to
+        # return 0.0 on a zero harmonic term and accept m < 0
+        args = (1.0,) if bound is adaptive_bound else (1.0, 2.0)
+        with pytest.raises(ValueError):
+            bound(*args, NoiseSchedule.constant(level, 10), m)
 
 
 class TestRegimes:

@@ -1,14 +1,19 @@
+import argparse
 import hashlib
+import itertools
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonstat_opt import NoiseSchedule, suboptimality_bound
-from nonstat_opt.cli import (CSV_HEADER, TRAJECTORY_HEADER, ExperimentConfig,
-                             build_problem, execute_run, main)
+from nonstat_opt.cli import (CSV_HEADER, SCHEMA, TRAJECTORY_HEADER,
+                             ExperimentConfig, build_parser, build_problem,
+                             execute_run, main)
 from nonstat_opt.policy import POLICIES
 
 
@@ -287,6 +292,125 @@ class TestConfigHandling:
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("config, flags, key", [
+        ({"schedule": {"kind": "constant", "level": None}}, [], "schedule.level"),
+        ({"problem": {"kind": "quadratic", "dim": "abc"}}, [], "problem.dim"),
+        ({"T": ["abc"]}, [], "T"),
+        ({}, ["--T", "abc"], "T"),
+        ({}, ["--alpha", "x"], "alpha"),
+        ({"problem": [1]}, [], "problem"),
+        # raised by make_quadratic, outside any cell
+        ({"problem": {"kind": "quadratic", "n": 5, "dim": 10}}, [], "problem"),
+        ([1, 2], [], "config"),
+        ({"seed": 3}, [], "seed"),
+        ({"overrides": {"beta": "x"}}, [], "overrides.beta"),
+        ({"overrides": {"m_coeff": 3}}, [], "overrides.m_coeff"),
+        ({}, ["--bound-const", "7"], "overrides.bound_const"),
+    ], ids=["null-level", "dim-abc", "T-abc", "flag-T-abc", "flag-alpha-x",
+            "problem-list", "n-below-dim", "top-level-list", "unknown-key",
+            "beta-x", "m-coeff-3", "flag-bound-const-7"])
+    def test_bad_input_names_its_key(self, tmp_path, capsys, config, flags, key):
+        path = tmp_path / "config.json"
+        if isinstance(config, dict):
+            config = {"out": str(tmp_path / "out"), "seeds": [0], "T": [20], **config}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["sweep", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: "), err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_and_json_key_are_one_value(self, tmp_path):
+        """A list key takes a comma string, a number a numeric string, and a
+        flag goes through its key's converter: one results.csv, hashes too."""
+        outputs = []
+        for config, flags in (
+                ({"policies": ["constant", "adaptive"], "T": [40, 50],
+                  "overrides": {"m_coeff": 8}}, []),
+                ({"policies": "constant, adaptive", "T": "40,50",
+                  "overrides": {"m_coeff": "8"}}, []),
+                ({}, ["--policy", "constant,adaptive", "--T", "40,50",
+                      "--m-coeff", "8"])):
+            cfg = write_config(tmp_path, seeds=[0], **config)
+            assert main(["sweep", "--config", str(cfg), *flags]) == 0
+            outputs.append((tmp_path / "out" / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == 1 + 2 * 2
+
+    def test_null_override_is_unset(self, tmp_path):
+        policies = ["adaptive", "pnorm", "variance_adaptive"]
+        rows = []
+        for overrides in ({}, dict.fromkeys(SCHEMA["overrides"])):
+            cfg = write_config(tmp_path, seeds=[0], policies=policies,
+                               overrides=overrides)
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
+            rows.append([line.split(",", 1)[1] for line in lines[1:]])
+        assert rows[0] == rows[1]
+
+    BASE = {"problem": {"kind": "quadratic", "dim": 3}, "T": [8],
+            "alpha": [0.5], "seeds": [0], "out": "out",
+            "policies": ["constant", "adaptive", "variance_adaptive"]}
+    MUTANTS = (None, True, "x", "", [], {}, -1, 0, 2.5, [None], ["x"], [-1])
+
+    def test_mutation_grid_never_raises(self, tmp_path, monkeypatch, capsys):
+        """Each key, each section and one unknown key, set in turn to each
+        mutant: the exit code is 0, 1 or 2, never an exception, and an exit 2
+        prints a config error and writes no results."""
+        paths = [(key,) for key in SCHEMA] + [("seed",)] + [
+            (section, key) for section, keys in SCHEMA.items()
+            if isinstance(keys, dict) for key in keys]
+        problems = []
+        for i, (path, value) in enumerate(itertools.product(paths, self.MUTANTS)):
+            raw = json.loads(json.dumps(self.BASE))
+            *sections, key = path
+            target = raw
+            for section in sections:
+                target = target.setdefault(section, {})
+            target[key] = value
+            work = tmp_path / str(i)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            (work / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+            case = f"{'.'.join(path)}={value!r}"
+            try:
+                code = main(["sweep", "--config", "config.json"])
+            except Exception as exc:  # every escape is a finding, not a crash
+                problems.append(f"{case}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2):
+                problems.append(f"{case}: exit code {code}")
+            elif code == 2 and (not err.startswith("config error:")
+                                or list(work.rglob("results.csv"))):
+                problems.append(f"{case}: exit 2 with stderr {err!r}")
+        assert len(paths) * len(self.MUTANTS) == 300
+        assert not problems, "\n".join(problems)
+
+
+class TestReadme:
+    """The README's config example and flag list match the code."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_config_example_matches_schema(self):
+        block = self.TEXT.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        raw = json.loads(re.sub(r"//[^\n]*", "", block))
+        ExperimentConfig.parse(raw)
+        assert raw.keys() == SCHEMA.keys()
+        for key, entry in SCHEMA.items():
+            if isinstance(entry, dict):
+                assert raw[key].keys() == entry.keys(), key
+
+    def test_flag_list_matches_parser(self):
+        paragraph = self.TEXT.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"`(--[A-Za-z-]+)", paragraph))
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        flags = {flag for sub in subparsers.choices.values()
+                 for action in sub._actions for flag in action.option_strings
+                 if flag.startswith("--") and flag != "--help"}
+        assert documented == flags
+
 
 @st.composite
 def sweep_configs(draw):
@@ -342,13 +466,12 @@ class TestSweepProperties:
             arity = 2 if fields[1] == "variance_adaptive" else 1
             init = 0 if fields[1] in ("constant", "idealized") else 1
             assert int(fields[8]) == arity * (T + init)
-        cfg = ExperimentConfig.from_file(cfg_path)
-        cfg.validate()
+        cfg = ExperimentConfig.parse(raw)
         problem = build_problem(cfg)
         if problem.convex:
             return
         for name in cfg.policies:
             for seed in cfg.seeds:
-                _, record, _ = execute_run(cfg, problem, name, T, cfg.alphas[0], seed)
+                _, record, _ = execute_run(cfg, problem, name, T, cfg.alpha[0], seed)
                 if not record.failed:
                     assert record.stepsizes.max() <= 1.0 / (2.0 * problem.L)
