@@ -9,7 +9,7 @@ from .estimator import (FirstMomentEMA, PowerEMA, SecondMomentEMA,
                         regret_bound)
 from .policy import (AdaptiveStep, FixedStep, PairedAdaptiveStep,
                      ScheduledStep, StepPolicy, adaptive_defaults,
-                     adaptive_stepsize, constant_baseline, constant_stepsize,
+                     constant_baseline, constant_stepsize,
                      first_moment_defaults, idealized_baseline,
                      idealized_stepsize, make_adaptive,
                      make_variance_adaptive, nonconvex_constant_baseline,

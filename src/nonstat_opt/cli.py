@@ -62,6 +62,12 @@ def _real(value) -> float:
     return number
 
 
+def _seed(value) -> int:
+    if (seed := _int(value)) < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -98,7 +104,7 @@ SCHEMA = {
     "policies": (_list(_one_of(str, *POLICIES)), ["constant"]),
     "T": (_list(_int), [1000]),
     "alpha": (_list(_real), [0.5]),
-    "seeds": (_list(_int), [0]),
+    "seeds": (_list(_seed), [0]),
     "overrides": {"c": (_optional(_real), None), "m": (_optional(_real), None),
                   "beta": (_optional(_real), None), "p": (_optional(_real), None),
                   "m_coeff": (_optional(_one_of(_int, 2, 8)), None),

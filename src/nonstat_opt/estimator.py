@@ -2,8 +2,8 @@
 
 The exponential-moving-average estimators store the quantity in the power it
 is averaged in (squared norms for the second-moment and variance kinds, p-th
-powers for the p-norm kind) and leave root-taking to the stepsize rule, so no
-precision is lost to repeated round trips.
+powers for the p-norm kind) and take the root only in ``denominator``, once
+per step, so no precision is lost to repeated round trips.
 """
 from __future__ import annotations
 
@@ -12,25 +12,32 @@ from collections import deque
 
 import numpy as np
 
-# Kinds whose value holds squared norms, so it is comparable to level_k^2.
-SQUARED_KINDS = ("second-moment", "variance", "window")
+
+# Each estimator defines its own ``update`` (perfbench/tracer.py times it per
+# kind, as found in the class's own __dict__) and ``denominator(m)``: m_hat + m.
+
+class _EMA:
+    """value tracks an exponential moving average with decay beta."""
+
+    def __init__(self, beta: float):
+        beta = float(beta)
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"decay beta must lie in (0, 1), got {beta}")
+        self.beta = beta
+        self.value = 0.0
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"decay beta must lie in (0, 1), got {beta}")
-    return beta
+class _SquaredNorms:
+    """value holds squared norms, comparable to level_k^2; its root is m_hat."""
+
+    def denominator(self, m: float) -> float:
+        return math.sqrt(self.value) + m
 
 
-class SecondMomentEMA:
+class SecondMomentEMA(_EMA, _SquaredNorms):
     """value tracks an EMA of ||g||^2."""
 
     kind = "second-moment"
-
-    def __init__(self, beta: float):
-        self.beta = _check_beta(beta)
-        self.value = 0.0
 
     def initialize(self, g: np.ndarray) -> None:
         self.value = float(g @ g)
@@ -39,14 +46,10 @@ class SecondMomentEMA:
         self.value = self.beta * self.value + (1.0 - self.beta) * float(g @ g)
 
 
-class FirstMomentEMA:
+class FirstMomentEMA(_EMA):
     """value tracks an EMA of ||g||."""
 
     kind = "first-moment"
-
-    def __init__(self, beta: float):
-        self.beta = _check_beta(beta)
-        self.value = 0.0
 
     def initialize(self, g: np.ndarray) -> None:
         self.value = float(np.linalg.norm(g))
@@ -54,15 +57,14 @@ class FirstMomentEMA:
     def update(self, g: np.ndarray) -> None:
         self.value = self.beta * self.value + (1.0 - self.beta) * float(np.linalg.norm(g))
 
+    def denominator(self, m: float) -> float:
+        return self.value + m
 
-class VarianceEMA:
+
+class VarianceEMA(_EMA, _SquaredNorms):
     """value tracks an EMA of ||g - g'||^2 / 2 over independent same-point pairs."""
 
     kind = "variance"
-
-    def __init__(self, beta: float):
-        self.beta = _check_beta(beta)
-        self.value = 0.0
 
     @staticmethod
     def _sample(g: np.ndarray, g2: np.ndarray) -> float:
@@ -76,7 +78,7 @@ class VarianceEMA:
         self.value = self.beta * self.value + (1.0 - self.beta) * self._sample(g, g2)
 
 
-class PowerEMA:
+class PowerEMA(_EMA):
     """value tracks an EMA of ||g||^p (Adamax-style generalisation)."""
 
     kind = "pnorm"
@@ -84,9 +86,8 @@ class PowerEMA:
     def __init__(self, beta: float, p: float):
         if p <= 0:
             raise ValueError(f"power p must be positive, got {p}")
-        self.beta = _check_beta(beta)
+        super().__init__(beta)
         self.p = float(p)
-        self.value = 0.0
 
     def initialize(self, g: np.ndarray) -> None:
         self.value = float(np.linalg.norm(g)) ** self.p
@@ -95,8 +96,11 @@ class PowerEMA:
         s = float(np.linalg.norm(g)) ** self.p
         self.value = self.beta * self.value + (1.0 - self.beta) * s
 
+    def denominator(self, m: float) -> float:
+        return (self.value + m ** self.p) ** (1.0 / self.p)
 
-class WindowAverage:
+
+class WindowAverage(_SquaredNorms):
     """value is the plain mean of the last W raw samples of ||g||^2.
 
     Averaging raw samples (rather than past estimates) is what removes the
@@ -127,6 +131,10 @@ class WindowAverage:
 
     def update(self, g: np.ndarray) -> None:
         self.push_sample(float(g @ g))
+
+
+# Kinds whose value holds squared norms, so it is comparable to level_k^2.
+SQUARED_KINDS = tuple(cls.kind for cls in _SquaredNorms.__subclasses__())
 
 
 def default_beta(horizon: int) -> float:

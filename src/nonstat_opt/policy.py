@@ -19,9 +19,8 @@ from functools import partial
 import numpy as np
 
 from . import analysis
-from .estimator import (SQUARED_KINDS, FirstMomentEMA, PowerEMA,
-                        SecondMomentEMA, VarianceEMA, WindowAverage,
-                        default_beta)
+from .estimator import (FirstMomentEMA, PowerEMA, SecondMomentEMA, VarianceEMA,
+                        WindowAverage, default_beta)
 
 
 # -- stepsize formulas ----------------------------------------------------
@@ -44,33 +43,6 @@ def idealized_stepsize(radius: float, horizon: int, levels):
     return radius / (math.sqrt(horizon) * levels)
 
 
-def adaptive_stepsize(c: float, m: float, value: float, kind: str,
-                      p: float = 2.0) -> float:
-    """Stepsize from an estimator value.
-
-    Squared-quantity estimators give c / (sqrt(value) + m); the first-moment
-    estimator gives c / (value + m); the p-norm estimator, whose value holds
-    p-th powers, gives c / (value + m^p)^(1/p).
-    """
-    if c <= 0:
-        raise ValueError(f"numerator scale c must be positive, got {c}")
-    if m < 0:
-        raise ValueError(f"correction constant must be nonnegative, got {m}")
-    if value < 0:
-        raise ValueError(f"estimator value must be nonnegative, got {value}")
-    if kind in SQUARED_KINDS:
-        denom = math.sqrt(value) + m
-    elif kind == "first-moment":
-        denom = value + m
-    elif kind == "pnorm":
-        denom = (value + m ** p) ** (1.0 / p)
-    else:
-        raise ValueError(f"unknown estimator kind: {kind!r}")
-    if denom <= 0 or not math.isfinite(denom):
-        raise ValueError("degenerate stepsize denominator")
-    return c / denom
-
-
 def adaptive_defaults(radius: float, max_level: float, horizon: int,
                       m_coeff: float = 2.0) -> tuple[float, float, float]:
     """Recommended (c, m, beta) for the adaptive rule on horizon T.
@@ -82,14 +54,13 @@ def adaptive_defaults(radius: float, max_level: float, horizon: int,
     """
     horizon = int(horizon)
     c = radius / math.sqrt(horizon)
-    largeness = 2.0 * horizon ** (-1.0 / 9.0) * math.log(horizon) ** (1.0 / 3.0)
+    largeness = variance_m_base(1.0, horizon, 2.0)
     if largeness > 1.0:
         warnings.warn(
             f"horizon T={horizon} below the guarantee regime "
             f"(2 T^(-1/9) ln(T)^(1/3) = {largeness:.3f} > 1); proceeding anyway",
             RuntimeWarning, stacklevel=2)
-    m = m_coeff * max_level * horizon ** (-1.0 / 9.0) * math.log(horizon) ** (1.0 / 3.0)
-    return c, m, default_beta(horizon)
+    return c, variance_m_base(max_level, horizon, m_coeff), default_beta(horizon)
 
 
 def first_moment_defaults(radius: float, max_level: float, horizon: int,
@@ -113,7 +84,7 @@ def first_moment_defaults(radius: float, max_level: float, horizon: int,
 
 
 def variance_m_base(max_level: float, horizon: int, coeff: float = 8.0) -> float:
-    """Noise part of the variance-adaptive correction: coeff * M * T^(-1/9) * ln(T)^(1/3)."""
+    """Noise part coeff * M * T^(-1/9) * ln(T)^(1/3) of the adaptive corrections m."""
     horizon = int(horizon)
     return coeff * max_level * horizon ** (-1.0 / 9.0) * math.log(horizon) ** (1.0 / 3.0)
 
@@ -206,7 +177,7 @@ class ScheduledStep(StepPolicy):
 
 
 class AdaptiveStep(StepPolicy):
-    """eta_k = c / (m_hat_k + m) with m_hat from a single-sample estimator."""
+    """eta_k = c / (m_hat_k + m); the estimator's denominator(m) is m_hat_k + m."""
 
     def __init__(self, c: float, m: float, estimator, name: str = "adaptive"):
         if c <= 0 or m < 0:
@@ -216,20 +187,26 @@ class AdaptiveStep(StepPolicy):
         self.estimator = estimator
         self.name = name
 
+    def _step(self) -> float:
+        denom = self.estimator.denominator(self.m)
+        if denom <= 0 or not math.isfinite(denom):
+            raise ValueError("degenerate stepsize denominator")
+        return self.c / denom
+
     def init(self, oracle, x1: np.ndarray) -> None:
         g = oracle.query(x1, 1)
         self.estimator.initialize(g)
 
     def stepsize(self, k: int) -> float:
-        p = getattr(self.estimator, "p", 2.0)
-        return adaptive_stepsize(self.c, self.m, self.estimator.value,
-                                 self.estimator.kind, p)
+        return self._step()
 
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         self.estimator.update(g)
 
 
-class PairedAdaptiveStep(StepPolicy):
+# perfbench/tracer.py times ``stepsize``, ``init`` and ``observe`` as found in
+# each policy class's own __dict__, so this class defines all three itself.
+class PairedAdaptiveStep(AdaptiveStep):
     """eta_k = c / (sigma_hat_k + m) fed by independent same-point pairs.
 
     The correction m must already include the 2cL smoothness term, so every
@@ -240,20 +217,16 @@ class PairedAdaptiveStep(StepPolicy):
 
     def __init__(self, c: float, m: float, estimator: VarianceEMA,
                  name: str = "variance_adaptive"):
-        if c <= 0 or m <= 0:
+        if m <= 0:
             raise ValueError("need c > 0 and m > 0")
-        self.c = float(c)
-        self.m = float(m)
-        self.estimator = estimator
-        self.name = name
+        super().__init__(c, m, estimator, name)
 
     def init(self, oracle, x1: np.ndarray) -> None:
         g, g2 = oracle.query_pair(x1, 1)
         self.estimator.initialize(g, g2)
 
     def stepsize(self, k: int) -> float:
-        return adaptive_stepsize(self.c, self.m, self.estimator.value,
-                                 self.estimator.kind)
+        return self._step()
 
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         self.estimator.update(g, g2)

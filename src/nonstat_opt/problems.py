@@ -59,6 +59,8 @@ class Problem:
 
 
 def _start_point(x_star: np.ndarray, radius: float, rng) -> np.ndarray:
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     if radius == 0.0:
         return x_star.copy()
     u = rng.standard_normal(x_star.size)

@@ -112,8 +112,7 @@ def suite_jensen() -> SuiteResult:
         bc = analysis.bound_constant(radius, sched)
         bi = analysis.bound_idealized(radius, sched)
         worst_gap = max(worst_gap, (bi - bc) / bc)
-        if T >= 2:
-            strict_ok &= bi < bc  # spread levels, strict inequality expected
+        strict_ok &= bi < bc  # spread levels, strict inequality expected
     for alpha in (0.0, 0.05, 0.3):
         sched = NoiseSchedule.piecewise_linear(1000, alpha)
         bc = analysis.bound_constant(radius, sched)

@@ -177,27 +177,37 @@ class TestSweep:
         assert bounds[0] != bounds[1]
 
     # sha256 of results.csv, recorded from the three separate SGD loops that
-    # the single runner loop replaced; a change here changes published numbers
+    # the single runner loop replaced; a change here changes published numbers.
+    # The spike case (p = 1, m = 0) was recorded from the kind-string stepsize
+    # rule that each estimator's own denominator replaced.
+    QUADRATIC = {"kind": "quadratic", "dim": 6, "n": 18, "seed": 0,
+                 "radius": 1.0}
     GOLDEN = {
-        "quadratic": ({"kind": "quadratic", "dim": 6, "n": 18, "seed": 0,
-                       "radius": 1.0},
+        "quadratic": (QUADRATIC, {"kind": "piecewise_linear"},
+                      {"p": 3.0, "window": 8},
                       "438108456be37c02954b827ebcb008f1"
                       "0c6592bdad3d6c5fcdb57f5612e85bab"),
         "smooth_nonconvex": ({"kind": "smooth_nonconvex", "dim": 6, "seed": 1,
-                              "radius": 1.0},
+                              "radius": 1.0}, {"kind": "piecewise_linear"},
+                             {"p": 3.0, "window": 8},
                              "6b71f14f596395cc7280c554f021dc8a"
                              "32b11683105b2ad2ba04d360593b8a65"),
+        "spike_roots": (QUADRATIC, {"kind": "adversarial_spike"},
+                        {"p": 1.0, "m": 0.0, "beta": 0.9},
+                        "7d884134c76092a50d65751c5a85105c"
+                        "7b8c887091ddf6962c6920121b579594"),
     }
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN))
     def test_golden_results_bytes(self, tmp_path, kind):
-        problem, digest = self.GOLDEN[kind]
-        cfg = write_config(tmp_path, problem=problem, policies=list(POLICIES),
-                           T=[50, 120], alpha=[0.25, 1.0], seeds=[0, 1],
-                           overrides={"p": 3.0, "window": 8})
+        problem, schedule, overrides, digest = self.GOLDEN[kind]
+        cfg = write_config(tmp_path, problem=problem, schedule=schedule,
+                           policies=list(POLICIES), T=[50, 120],
+                           alpha=[0.25, 1.0], seeds=[0, 1], overrides=overrides)
         assert main(["sweep", "--config", str(cfg)]) == 0
         data = (tmp_path / "out" / "results.csv").read_bytes()
         assert len(data.splitlines()) == 1 + 7 * 2 * 2 * 2
+        assert b"nan" not in data
         assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -306,9 +316,16 @@ class TestConfigHandling:
         ({"overrides": {"beta": "x"}}, [], "overrides.beta"),
         ({"overrides": {"m_coeff": 3}}, [], "overrides.m_coeff"),
         ({}, ["--bound-const", "7"], "overrides.bound_const"),
+        # raised by _start_point: a negative radius mirrored the start point
+        ({"problem": {"kind": "quadratic", "dim": 4, "n": 8, "radius": -1}}, [],
+         "problem"),
+        ({"problem": {"kind": "smooth_nonconvex", "radius": -1}}, [], "problem"),
+        ({"seeds": [0, -1]}, [], "seeds"),
+        ({}, ["--seed", "-1"], "seeds"),
     ], ids=["null-level", "dim-abc", "T-abc", "flag-T-abc", "flag-alpha-x",
             "problem-list", "n-below-dim", "top-level-list", "unknown-key",
-            "beta-x", "m-coeff-3", "flag-bound-const-7"])
+            "beta-x", "m-coeff-3", "flag-bound-const-7", "negative-radius",
+            "negative-radius-nonconvex", "negative-seed", "flag-seed-negative"])
     def test_bad_input_names_its_key(self, tmp_path, capsys, config, flags, key):
         path = tmp_path / "config.json"
         if isinstance(config, dict):

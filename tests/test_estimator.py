@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nonstat_opt import (FirstMomentEMA, NoiseSchedule, PowerEMA,
                          SecondMomentEMA, VarianceEMA, WindowAverage,
                          default_beta, regret, regret_bound)
+from nonstat_opt.estimator import SQUARED_KINDS
 
 
 def mean_norm_gaussian(dim: int, total_std: float) -> float:
@@ -174,6 +175,32 @@ class TestWindowAverage:
             est.push_sample(-1.0)
         with pytest.raises(ValueError):
             WindowAverage(0)
+
+
+class TestDenominator:
+    """denominator(m) is m_hat + m, m_hat being the estimate in norm units."""
+
+    @pytest.mark.parametrize("make", [lambda: SecondMomentEMA(0.9),
+                                      lambda: VarianceEMA(0.9),
+                                      lambda: WindowAverage(3)],
+                             ids=["second-moment", "variance", "window"])
+    def test_squared_kinds_take_the_root(self, make):
+        est = make()
+        est.value = 9.0
+        assert est.denominator(0.5) == 3.5
+        assert est.kind in SQUARED_KINDS
+
+    def test_first_moment_is_already_a_norm(self):
+        est = FirstMomentEMA(0.9)
+        est.value = 3.0
+        assert est.denominator(0.5) == 3.5
+        assert est.kind not in SQUARED_KINDS
+
+    def test_pnorm_adds_m_to_the_power_p(self):
+        est = PowerEMA(0.9, 3.0)
+        est.value = 19.0  # 19 + 2^3 = 3^3
+        assert est.denominator(2.0) == pytest.approx(3.0, rel=1e-15)
+        assert est.kind not in SQUARED_KINDS
 
 
 class TestDefaultBeta:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nonstat_opt import (NoiseSchedule, adaptive_defaults, adaptive_stepsize,
-                         constant_stepsize, idealized_stepsize, make_adaptive,
-                         make_quadratic, make_smooth_nonconvex,
-                         make_variance_adaptive, nonconvex_stepsizes,
-                         variance_adaptive_correction, variance_m_base)
+from nonstat_opt import (AdaptiveStep, FirstMomentEMA, NoiseSchedule,
+                         PairedAdaptiveStep, PowerEMA, SecondMomentEMA,
+                         VarianceEMA, adaptive_defaults, constant_stepsize,
+                         idealized_stepsize, make_adaptive, make_quadratic,
+                         make_smooth_nonconvex, make_variance_adaptive,
+                         nonconvex_stepsizes, variance_adaptive_correction,
+                         variance_m_base)
 
 
 class TestConstantStepsize:
@@ -44,36 +46,51 @@ class TestIdealizedStepsize:
             idealized_stepsize(1.0, 100, 0.0)
 
 
+def adaptive_step(c, m, estimator, value):
+    """The first stepsize of an adaptive policy whose estimator holds ``value``."""
+    estimator.value = value
+    return AdaptiveStep(c, m, estimator).stepsize(1)
+
+
 class TestAdaptiveStepsize:
     def test_second_moment_kind(self):
-        assert adaptive_stepsize(0.1, 0.0, 4.0, "second-moment") == \
+        assert adaptive_step(0.1, 0.0, SecondMomentEMA(0.9), 4.0) == \
             pytest.approx(0.05, rel=1e-12)
 
     def test_correction_constant_prevents_blowup(self):
-        assert adaptive_stepsize(0.1, 0.5, 0.0, "second-moment") == \
+        assert adaptive_step(0.1, 0.5, SecondMomentEMA(0.9), 0.0) == \
             pytest.approx(0.2, rel=1e-12)
 
     def test_pnorm_kind(self):
         # estimate 3 stored as 3^p with p = 2, correction 4: (9 + 16)^(1/2) = 5
-        assert adaptive_stepsize(1.0, 4.0, 9.0, "pnorm", p=2.0) == \
+        assert adaptive_step(1.0, 4.0, PowerEMA(0.9, 2.0), 9.0) == \
             pytest.approx(0.2, rel=1e-12)
 
     def test_pnorm_p2_with_no_correction_matches_second_moment(self):
         rng = np.random.default_rng(0)
         for value in rng.uniform(0.01, 100.0, size=25):
-            a = adaptive_stepsize(1.0, 0.0, value, "second-moment")
-            b = adaptive_stepsize(1.0, 0.0, value, "pnorm", p=2.0)
+            a = adaptive_step(1.0, 0.0, SecondMomentEMA(0.9), value)
+            b = adaptive_step(1.0, 0.0, PowerEMA(0.9, 2.0), value)
             assert abs(a - b) <= 1e-12 * a
 
     def test_first_moment_kind(self):
-        assert adaptive_stepsize(1.0, 1.0, 3.0, "first-moment") == \
+        assert adaptive_step(1.0, 1.0, FirstMomentEMA(0.9), 3.0) == \
             pytest.approx(0.25, rel=1e-12)
 
     def test_degenerate_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            adaptive_stepsize(1.0, 0.0, 0.0, "second-moment")
-        with pytest.raises(ValueError):
-            adaptive_stepsize(1.0, 0.0, 1.0, "mystery")
+        # a zero estimate with no correction, and an overflowed estimate
+        for value in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="degenerate stepsize denominator"):
+                adaptive_step(1.0, 0.0, SecondMomentEMA(0.9), value)
+
+    def test_paired_policy_steps_through_the_same_rule(self):
+        est = VarianceEMA(0.9)
+        est.value = 4.0
+        assert PairedAdaptiveStep(0.1, 0.5, est).stepsize(1) == \
+            pytest.approx(0.04, rel=1e-12)
+        est.value = math.inf
+        with pytest.raises(ValueError, match="degenerate stepsize denominator"):
+            PairedAdaptiveStep(0.1, 0.5, est).stepsize(1)
 
 
 class TestAdaptiveDefaults:
