@@ -13,11 +13,10 @@ from .policy import (AdaptiveStep, FixedStep, PairedAdaptiveStep,
                      first_moment_defaults, idealized_baseline,
                      idealized_stepsize, make_adaptive,
                      make_variance_adaptive, nonconvex_constant_baseline,
-                     nonconvex_idealized_baseline, nonconvex_stepsizes,
-                     variance_adaptive_correction, variance_m_base)
+                     nonconvex_idealized_baseline, variance_adaptive_correction,
+                     variance_m_base)
 from .runner import (RunRecord, WeightedIndexReservoir, run_convex,
-                     run_estimation_only, run_nonconvex,
-                     run_variance_adaptive, weighted_average)
+                     run_estimation_only, run_nonconvex, run_variance_adaptive)
 from .analysis import (BoundReport, SlopeFit, adaptive_bound,
                        adaptive_stationarity_bound, bound_constant,
                        bound_idealized, bound_report, classify_regime,

@@ -62,10 +62,15 @@ def _real(value) -> float:
     return number
 
 
-def _seed(value) -> int:
-    if (seed := _int(value)) < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
-    return seed
+def _range(convert, low, high=math.inf, low_open=False):
+    """convert, then require low <= value < high, or low < value < high."""
+    def check(value):
+        value = convert(value)
+        if (value <= low if low_open else value < low) or value >= high:
+            raise ValueError(f"expected a value in {'(' if low_open else '['}{low}, "
+                             f"{high}), got {value!r}")
+        return value
+    return check
 
 
 def _optional(convert):
@@ -100,16 +105,19 @@ SCHEMA = {
                 "dim": (_int, 10), "n": (_int, 40), "seed": (_int, 0),
                 "radius": (_real, 1.0), "cond": (_optional(_real), None)},
     "schedule": {"kind": (_one_of(str, *SCHEDULE_KINDS), "piecewise_linear"),
-                 "level": (_real, 1.0), "path": (_optional(os.fspath), None)},
+                 "level": (_range(_real, 0), 1.0),
+                 "path": (_optional(os.fspath), None)},
     "policies": (_list(_one_of(str, *POLICIES)), ["constant"]),
-    "T": (_list(_int), [1000]),
-    "alpha": (_list(_real), [0.5]),
-    "seeds": (_list(_seed), [0]),
-    "overrides": {"c": (_optional(_real), None), "m": (_optional(_real), None),
-                  "beta": (_optional(_real), None), "p": (_optional(_real), None),
+    "T": (_list(_range(_int, 3)), [1000]),
+    "alpha": (_list(_range(_real, 0)), [0.5]),
+    "seeds": (_list(_range(_int, 0)), [0]),
+    "overrides": {"c": (_optional(_range(_real, 0, low_open=True)), None),
+                  "m": (_optional(_range(_real, 0)), None),
+                  "beta": (_optional(_range(_real, 0, 1, low_open=True)), None),
+                  "p": (_optional(_range(_real, 0, low_open=True)), None),
                   "m_coeff": (_optional(_one_of(_int, 2, 8)), None),
                   "bound_const": (_optional(_one_of(_int, 4, 32, 12)), 32),
-                  "window": (_optional(_int), None)},
+                  "window": (_optional(_range(_int, 1)), None)},
     "out": (os.fspath, "results"),
 }
 
@@ -160,10 +168,8 @@ class ExperimentConfig(SimpleNamespace):
 
     @classmethod
     def parse(cls, raw, timings: bool = False) -> "ExperimentConfig":
-        """Every value converted by SCHEMA; then the horizons and a level file checked."""
+        """Every value converted by SCHEMA; then a custom level file read and checked."""
         cfg = cls(**_parse("", raw, SCHEMA), timings=timings, custom_schedule=None)
-        if min(cfg.T) < 3:
-            raise ConfigError(f"T: every horizon must be at least 3, got {min(cfg.T)}")
         if cfg.schedule["kind"] == "custom":
             path = cfg.schedule["path"]
             if not path:

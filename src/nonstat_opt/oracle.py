@@ -47,12 +47,3 @@ class Oracle:
         if with_true:
             return g1, g2, true_grad
         return g1, g2
-
-    def effective_second_moment(self, x: np.ndarray, k: int) -> float:
-        """sqrt(level(k)^2 + ||grad f(x)||^2): the root second moment of g.
-
-        Diagnostic only; the optimizers never see this quantity.
-        """
-        g = self.problem.gradient(x)
-        lvl = self.schedule.level(k)
-        return float(np.sqrt(lvl * lvl + g @ g))

@@ -54,12 +54,7 @@ def adaptive_defaults(radius: float, max_level: float, horizon: int,
     """
     horizon = int(horizon)
     c = radius / math.sqrt(horizon)
-    largeness = variance_m_base(1.0, horizon, 2.0)
-    if largeness > 1.0:
-        warnings.warn(
-            f"horizon T={horizon} below the guarantee regime "
-            f"(2 T^(-1/9) ln(T)^(1/3) = {largeness:.3f} > 1); proceeding anyway",
-            RuntimeWarning, stacklevel=2)
+    _warn_below_regime(horizon)
     return c, variance_m_base(max_level, horizon, m_coeff), default_beta(horizon)
 
 
@@ -70,15 +65,12 @@ def first_moment_defaults(radius: float, max_level: float, horizon: int,
     c = R / sqrt(T), m = m_coeff * M * T^(-1/6) * ln(T)^(1/2): the tighter
     concentration of plain norms permits a smaller correction constant than
     the squared-norm rule, raising the attainable speedup from T^(1/9) to
-    T^(1/6). Assumes T large enough that 8 ln(T) <= T^(1/3).
+    T^(1/6). Assumes T large enough that 8 ln(T) <= T^(1/3), the cube of the
+    squared-norm rule's regime condition, so both warn below the same T.
     """
     horizon = int(horizon)
     c = radius / math.sqrt(horizon)
-    if 8.0 * math.log(horizon) > horizon ** (1.0 / 3.0):
-        warnings.warn(
-            f"horizon T={horizon} below the first-moment guarantee regime "
-            f"(8 ln(T) > T^(1/3)); proceeding anyway", RuntimeWarning,
-            stacklevel=2)
+    _warn_below_regime(horizon)
     m = m_coeff * max_level * horizon ** (-1.0 / 6.0) * math.sqrt(math.log(horizon))
     return c, m, default_beta(horizon)
 
@@ -89,44 +81,22 @@ def variance_m_base(max_level: float, horizon: int, coeff: float = 8.0) -> float
     return coeff * max_level * horizon ** (-1.0 / 9.0) * math.log(horizon) ** (1.0 / 3.0)
 
 
+def _warn_below_regime(horizon: int) -> None:
+    """Warn when T is below the adaptive rules' guarantee regime
+    2 T^(-1/9) ln(T)^(1/3) <= 1, which holds from T = 1,465,239 on."""
+    largeness = variance_m_base(1.0, horizon, 2.0)
+    if largeness > 1.0:
+        warnings.warn(
+            f"horizon T={horizon} below the guarantee regime "
+            f"(2 T^(-1/9) ln(T)^(1/3) = {largeness:.3f} > 1); proceeding anyway",
+            RuntimeWarning, stacklevel=3)
+
+
 def variance_adaptive_correction(c: float, L: float, m_base: float) -> float:
     """m = m_base + 2cL, which caps every stepsize c/(sigma_hat + m) at 1/(2L)."""
     if c <= 0 or L <= 0:
         raise ValueError("c and L must be positive")
     return m_base + 2.0 * c * L
-
-
-def nonconvex_stepsizes(delta: float, L: float, schedule, kind: str) -> np.ndarray:
-    """Baseline stepsizes for smooth nonconvex runs, clipped at 1/(2L).
-
-    kind="constant": eta = sqrt(2 delta / (L sum_k level_k^2)) at every k.
-    kind="idealized": eta_k = sqrt(2 delta / (L T)) / level_k.
-    Steps above the smoothness cap 1/(2L) are clipped with a warning; the
-    guarantees require eta_k <= 1/(2L) and clipping keeps runs valid when the
-    noise floor is too low for the raw formula.
-    """
-    if delta <= 0 or L <= 0:
-        raise ValueError("delta and L must be positive")
-    levels = schedule.levels()
-    T = schedule.horizon
-    if kind == "constant":
-        energy = float(np.sum(levels ** 2))
-        if energy <= 0:
-            raise ValueError("schedule has zero total noise energy")
-        etas = np.full(T, math.sqrt(2.0 * delta / (L * energy)))
-    elif kind == "idealized":
-        if np.any(levels <= 0):
-            raise ValueError("idealized stepsizes need strictly positive levels")
-        etas = math.sqrt(2.0 * delta / (L * T)) / levels
-    else:
-        raise ValueError(f"unknown nonconvex baseline kind: {kind!r}")
-    cap = 1.0 / (2.0 * L)
-    if np.any(etas > cap):
-        warnings.warn(
-            f"{kind} nonconvex stepsizes exceed the smoothness cap 1/(2L)={cap:.4g}; "
-            "clipping", RuntimeWarning, stacklevel=2)
-        etas = np.minimum(etas, cap)
-    return etas
 
 
 # -- policy objects --------------------------------------------------------
@@ -246,10 +216,10 @@ def idealized_baseline(radius: float, schedule, horizon: int) -> ScheduledStep:
 def make_adaptive(radius: float, max_level: float, horizon: int,
                   m_coeff: float | None = None, c: float | None = None,
                   m: float | None = None, beta: float | None = None,
-                  estimator_kind: str = "second-moment", p: float | None = None,
+                  estimator: type = SecondMomentEMA, p: float | None = None,
                   window: int | None = None, name: str = "adaptive") -> AdaptiveStep:
-    """Adaptive policy with recommended parameters; a None parameter takes its default."""
-    if estimator_kind == "first-moment":
+    """Adaptive policy on an ``estimator`` class; a None parameter takes its default."""
+    if estimator is FirstMomentEMA:
         c_def, m_def, beta_def = first_moment_defaults(
             radius, max_level, horizon,
             m_coeff=8.0 if m_coeff is None else m_coeff)
@@ -260,16 +230,12 @@ def make_adaptive(radius: float, max_level: float, horizon: int,
     c = c_def if c is None else c
     m = m_def if m is None else m
     beta = beta_def if beta is None else beta
-    if estimator_kind == "second-moment":
-        est = SecondMomentEMA(beta)
-    elif estimator_kind == "first-moment":
-        est = FirstMomentEMA(beta)
-    elif estimator_kind == "pnorm":
-        est = PowerEMA(beta, 2.0 if p is None else p)
-    elif estimator_kind == "window":
+    if estimator is WindowAverage:  # a width, not a decay
         est = WindowAverage(window if window is not None else max(1, horizon // 10))
+    elif estimator is PowerEMA:
+        est = PowerEMA(beta, 2.0 if p is None else p)
     else:
-        raise ValueError(f"unknown estimator kind: {estimator_kind!r}")
+        est = estimator(beta)
     return AdaptiveStep(c, m, est, name=name)
 
 
@@ -295,15 +261,39 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
     return PairedAdaptiveStep(c, m, VarianceEMA(beta), name=name)
 
 
+def _nonconvex_steps(problem, kind: str, total: float, levels=1.0):
+    """Steps sqrt(2 delta / (L total)) / levels, clipped at the smoothness cap
+    1/(2L) with a warning: the guarantees require eta_k <= 1/(2L), and clipping
+    keeps runs valid when the noise floor is too low for the raw formula."""
+    delta, L = problem.initial_gap(), problem.L
+    if delta <= 0 or L <= 0:
+        raise ValueError("delta and L must be positive")
+    etas = math.sqrt(2.0 * delta / (L * total)) / levels
+    cap = 1.0 / (2.0 * L)
+    if np.any(etas > cap):
+        warnings.warn(
+            f"{kind} nonconvex stepsizes exceed the smoothness cap 1/(2L)={cap:.4g}; "
+            "clipping", RuntimeWarning, stacklevel=3)
+        etas = np.minimum(etas, cap)
+    return etas
+
+
 def nonconvex_constant_baseline(problem, schedule) -> FixedStep:
-    etas = nonconvex_stepsizes(problem.initial_gap(), problem.L, schedule, "constant")
-    return FixedStep(float(etas[0]), name="constant")
+    """eta = sqrt(2 delta / (L sum_k level_k^2)) at every k, clipped at 1/(2L)."""
+    energy = float(np.sum(schedule.levels() ** 2))
+    if energy <= 0:
+        raise ValueError("schedule has zero total noise energy")
+    return FixedStep(float(_nonconvex_steps(problem, "constant", energy)),
+                     name="constant")
 
 
 def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
-    return ScheduledStep(nonconvex_stepsizes(problem.initial_gap(), problem.L,
-                                             schedule, "idealized"),
-                         name="idealized")
+    """eta_k = sqrt(2 delta / (L T)) / level_k, clipped at 1/(2L)."""
+    levels = schedule.levels()
+    if np.any(levels <= 0):
+        raise ValueError("idealized stepsizes need strictly positive levels")
+    return ScheduledStep(_nonconvex_steps(problem, "idealized", schedule.horizon,
+                                          levels), name="idealized")
 
 
 # -- the policy table: name -> (build, bound) ---------------------------------
@@ -329,11 +319,11 @@ def _build_idealized(problem, schedule, horizon, ov):
     return nonconvex_idealized_baseline(problem, schedule)
 
 
-def _build_adaptive(estimator_kind, name, problem, schedule, horizon, ov):
+def _build_adaptive(estimator, name, problem, schedule, horizon, ov):
     return make_adaptive(problem.radius, schedule.max_level(), horizon,
                          m_coeff=ov.get("m_coeff"), c=ov.get("c"),
                          m=ov.get("m"), beta=ov.get("beta"),
-                         estimator_kind=estimator_kind,
+                         estimator=estimator,
                          p=ov.get("p"), window=ov.get("window"), name=name)
 
 
@@ -363,12 +353,12 @@ def _adaptive_bound(problem, schedule, policy, record, bound_const):
 POLICIES = {
     "constant": (_build_constant, _baseline_bound),
     "idealized": (_build_idealized, _baseline_bound),
-    "adaptive": (partial(_build_adaptive, "second-moment", "adaptive"),
+    "adaptive": (partial(_build_adaptive, SecondMomentEMA, "adaptive"),
                  _adaptive_bound),
     "adaptive_first_moment": (
-        partial(_build_adaptive, "first-moment", "adaptive_first_moment"),
+        partial(_build_adaptive, FirstMomentEMA, "adaptive_first_moment"),
         _adaptive_bound),
-    "pnorm": (partial(_build_adaptive, "pnorm", "pnorm"), _adaptive_bound),
-    "window": (partial(_build_adaptive, "window", "window"), _adaptive_bound),
+    "pnorm": (partial(_build_adaptive, PowerEMA, "pnorm"), _adaptive_bound),
+    "window": (partial(_build_adaptive, WindowAverage, "window"), _adaptive_bound),
     "variance_adaptive": (_build_variance_adaptive, _adaptive_bound),
 }

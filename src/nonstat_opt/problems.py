@@ -94,13 +94,6 @@ class Quadratic(Problem):
         # vanishes exactly at x_star.
         return self.hessian @ (np.asarray(x, dtype=float) - self.x_star)
 
-    @classmethod
-    def from_data(cls, A, b, radius: float = 1.0, seed: int = 0) -> "Quadratic":
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
-        start = _start_point(x_star, radius, np.random.default_rng(seed))
-        return cls(A, b, x_star, start)
 
 
 def make_quadratic(seed: int, dim: int, n: int, radius: float = 1.0,

@@ -50,22 +50,6 @@ class WeightedIndexReservoir:
             self.index = index
 
 
-def weighted_average(xs, etas) -> np.ndarray:
-    """Stepsize-weighted mean of iterates."""
-    etas = np.asarray(etas, dtype=float)
-    if len(xs) != etas.size:
-        raise ValueError(f"length mismatch: {len(xs)} iterates vs {etas.size} weights")
-    if etas.size == 0:
-        raise ValueError("need at least one iterate")
-    total = float(etas.sum())
-    if total <= 0:
-        raise ValueError("total stepsize weight must be positive")
-    acc = np.zeros_like(np.asarray(xs[0], dtype=float))
-    for x, eta in zip(xs, etas):
-        acc += eta * np.asarray(x, dtype=float)
-    return acc / total
-
-
 def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool) -> RunRecord:
     """SGD x_{k+1} = x_k - eta_k g_k; paired policies step with the pair average.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -76,8 +77,8 @@ def _reference_quadratic(radius: float = 1.0):
 
 
 def _run_seeds(problem, schedule, name, horizon, seeds, overrides=None):
-    """Yield one run of policy ``name`` per seed, each with its own oracle and
-    policy; records are not kept, so a suite holds one run's traces at a time."""
+    """Yield (policy, record) per seed, each run with its own oracle and policy;
+    records are not kept, so a suite holds one run's traces at a time."""
     build, _ = pol.POLICIES[name]
     for seed in seeds:
         oracle = Oracle(problem, schedule, seed=seed)
@@ -88,13 +89,23 @@ def _run_seeds(problem, schedule, name, horizon, seeds, overrides=None):
             runner = run_convex
         else:
             runner = run_nonconvex
-        yield runner(problem, oracle, policy, horizon, seed=seed)
+        yield policy, runner(problem, oracle, policy, horizon, seed=seed)
 
 
-def _median_final(records) -> float:
+def _finals_and_bound(problem, schedule, name, horizon, seeds, overrides=None):
+    """Each seed's final metric, the last seed's policy, and its bound as a
+    function of the bound constant: the POLICIES bound that results.csv reports."""
+    bound = pol.POLICIES[name][1]
+    finals = []
+    for policy, rec in _run_seeds(problem, schedule, name, horizon, seeds, overrides):
+        finals.append(rec.final_metric)
+    return np.array(finals), policy, partial(bound, problem, schedule, policy, rec)
+
+
+def _median_final(runs) -> float:
     """Median final metric; a failed run counts as infinitely bad."""
     return float(np.median([math.inf if r.failed else r.final_metric
-                            for r in records]))
+                            for _, r in runs]))
 
 
 # -- suites ------------------------------------------------------------------
@@ -207,11 +218,8 @@ def suite_theorem1() -> SuiteResult:
     for sched_name, sched in (("flat", NoiseSchedule.constant(1.0, T)),
                               ("ramp", NoiseSchedule.piecewise_linear(T, 0.25))):
         for pol_name in ("constant", "idealized"):
-            finals = []
-            for rec in _run_seeds(problem, sched, pol_name, T, seeds):
-                finals.append(rec.final_metric)
-                etas = rec.stepsizes
-            bound = analysis.suboptimality_bound(problem.radius, sched, etas)
+            finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, T, seeds)
+            bound = bound_at(32.0)
             mean = float(np.mean(finals))
             crits.append(CriterionResult(
                 f"{pol_name}-on-{sched_name}", mean <= 1.1 * bound, mean,
@@ -227,18 +235,16 @@ def suite_theorem2() -> SuiteResult:
     seeds = range(40)
     crits = []
     for m_coeff in (2.0, 8.0):
-        _, m, _ = pol.adaptive_defaults(problem.radius, sched.max_level(), T,
-                                        m_coeff=m_coeff)
-        bound_proved = analysis.adaptive_bound(problem.radius, sched, m, 32.0)
-        bound_stated = analysis.adaptive_bound(problem.radius, sched, m, 4.0)
-        finals = np.array([rec.final_metric for rec in _run_seeds(
-            problem, sched, "adaptive", T, seeds, {"m_coeff": m_coeff})])
+        finals, policy, bound_at = _finals_and_bound(
+            problem, sched, "adaptive", T, seeds, {"m_coeff": m_coeff})
+        bound_proved = bound_at(32.0)
+        bound_stated = bound_at(4.0)
         frac32 = float(np.mean(finals <= bound_proved))
         frac4 = float(np.mean(finals <= bound_stated))
         crits.append(CriterionResult(
             f"half-under-bound-mcoeff{m_coeff:g}", frac32 >= 0.5, frac32, 0.5, ">=",
             {"bound_constant_32": bound_proved, "bound_constant_4": bound_stated,
-             "fraction_under_4_constant": frac4, "m": m,
+             "fraction_under_4_constant": frac4, "m": policy.m,
              "median_final": float(np.median(finals))}))
     return SuiteResult("theorem2", tuple(crits))
 
@@ -268,17 +274,14 @@ def suite_nonconvex() -> SuiteResult:
     seeds = range(30)
     crits = []
     for pol_name in ("constant", "idealized"):
-        finals = []
-        for rec in _run_seeds(problem, sched, pol_name, T, seeds):
-            finals.append(rec.final_metric)
-            etas = rec.stepsizes
-        bound = analysis.stationarity_bound(delta, problem.L, sched, etas)
+        finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, T, seeds)
+        bound = bound_at(32.0)
         mean = float(np.mean(finals))
         crits.append(CriterionResult(
             f"{pol_name}-stationarity", mean <= 1.2 * bound, mean, 1.2 * bound,
             "<=", {"bound": bound, "delta": delta, "seeds": 30}))
     cap = 1.0 / (2.0 * problem.L)
-    worst = max(float(rec.stepsizes.max()) for rec in _run_seeds(
+    worst = max(float(rec.stepsizes.max()) for _, rec in _run_seeds(
         problem, sched, "variance_adaptive", T, seeds))
     crits.append(CriterionResult(
         "paired-stepsize-cap", worst <= cap, worst, cap, "<=",

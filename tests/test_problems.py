@@ -21,7 +21,7 @@ class TestQuadratic:
     def test_half_squared_norm_case(self):
         # A = sqrt(2) * I with two rows makes f(x) = ||x||^2 / 2 exactly.
         A = math.sqrt(2.0) * np.eye(2)
-        prob = Quadratic.from_data(A, np.zeros(2))
+        prob = Quadratic(A, np.zeros(2), np.zeros(2), np.ones(2))
         x = np.array([3.0, 4.0])
         assert prob.value(x) == pytest.approx(12.5, rel=1e-12)
         np.testing.assert_allclose(prob.gradient(x), x, rtol=1e-12)

@@ -12,7 +12,7 @@ from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, PairedAdaptiveStep,
                          make_adaptive, make_quadratic, make_smooth_nonconvex,
                          make_variance_adaptive, nonconvex_constant_baseline,
                          run_convex, run_estimation_only, run_nonconvex,
-                         run_variance_adaptive, weighted_average)
+                         run_variance_adaptive)
 from nonstat_opt.policy import POLICIES
 
 
@@ -70,26 +70,6 @@ class SpyPolicy:
         self.inner.observe(g, g2)
 
 
-class TestWeightedAverage:
-    def test_equal_weights(self):
-        out = weighted_average([np.array([0.0]), np.array([2.0])], [1.0, 1.0])
-        assert out[0] == 1.0
-
-    def test_single_element(self):
-        out = weighted_average([np.array([4.0, 5.0])], [0.3])
-        np.testing.assert_array_equal(out, [4.0, 5.0])
-
-    def test_unequal_weights(self):
-        out = weighted_average([np.array([0.0]), np.array([4.0])], [1.0, 3.0])
-        assert out[0] == 3.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            weighted_average([np.zeros(1)], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_average([], [])
-
-
 class TestConvexRun:
     def test_zero_noise_descends_monotonically(self, quad):
         T = 60
@@ -114,7 +94,7 @@ class TestConvexRun:
         pol = idealized_baseline(quad.radius, sched, T)
         rec = run_convex(quad, oracle, pol, T, seed=5)
         assert len(oracle.points) == T
-        recomputed = weighted_average(oracle.points, rec.stepsizes)
+        recomputed = np.average(oracle.points, axis=0, weights=rec.stepsizes)
         assert np.abs(recomputed - rec.x_bar).max() <= 1e-10
 
     def test_trace_lengths_and_accounting(self, quad):
