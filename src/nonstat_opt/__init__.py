@@ -1,6 +1,6 @@
 """SGD with noise-adaptive stepsizes under non-stationary gradient noise."""
 
-from .schedule import NoiseSchedule, ScheduleSummary
+from .schedule import NoiseSchedule
 from .problems import (Problem, Quadratic, SmoothNonconvex, make_quadratic,
                        make_smooth_nonconvex, power_iteration)
 from .oracle import Oracle
@@ -8,12 +8,9 @@ from .estimator import (FirstMomentEMA, PowerEMA, SecondMomentEMA,
                         VarianceEMA, WindowAverage, default_beta, regret,
                         regret_bound)
 from .policy import (AdaptiveStep, FixedStep, PairedAdaptiveStep,
-                     ScheduledStep, StepPolicy, adaptive_defaults,
-                     constant_baseline, constant_stepsize,
-                     first_moment_defaults, idealized_baseline,
-                     idealized_stepsize, make_adaptive,
-                     make_variance_adaptive, nonconvex_constant_baseline,
-                     nonconvex_idealized_baseline, variance_adaptive_correction,
+                     ScheduledStep, StepPolicy, constant_baseline,
+                     idealized_baseline, make_adaptive, make_variance_adaptive,
+                     nonconvex_constant_baseline, nonconvex_idealized_baseline,
                      variance_m_base)
 from .runner import (RunRecord, WeightedIndexReservoir, run_convex,
                      run_estimation_only, run_nonconvex, run_variance_adaptive)

@@ -235,8 +235,6 @@ class ResultRow:
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".12g")
 
 
@@ -262,19 +260,17 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
     schedule = oracle = None
     bound_value, regret_value = math.nan, None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            schedule = build_schedule(cfg, horizon, alpha)
-            policy = build(problem, schedule, horizon, cfg.overrides)
-            oracle = Oracle(problem, schedule, seed=seed)
-            started = time.perf_counter()
-            if policy.uses_pairs:
-                record = run_variance_adaptive(problem, oracle, policy, horizon, seed)
-            elif problem.convex:
-                record = run_convex(problem, oracle, policy, horizon, seed)
-            else:
-                record = run_nonconvex(problem, oracle, policy, horizon, seed)
-            elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
+        schedule = build_schedule(cfg, horizon, alpha)
+        policy = build(problem, schedule, horizon, cfg.overrides)
+        oracle = Oracle(problem, schedule, seed=seed)
+        started = time.perf_counter()
+        if policy.uses_pairs:
+            record = run_variance_adaptive(problem, oracle, policy, horizon, seed)
+        elif problem.convex:
+            record = run_convex(problem, oracle, policy, horizon, seed)
+        else:
+            record = run_nonconvex(problem, oracle, policy, horizon, seed)
+        elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
         if not record.failed:
             bound_value = bound(problem, schedule, policy, record, float(bound_const))
             if record.estimator_kind in SQUARED_KINDS:
@@ -449,9 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Every command's entry point, and the one place RuntimeWarnings are silenced."""
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](ExperimentConfig.load(args), args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return COMMANDS[args.command](ExperimentConfig.load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -114,7 +114,6 @@ class WindowAverage(_SquaredNorms):
         width = int(width)
         if width < 1:
             raise ValueError(f"window width must be at least 1, got {width}")
-        self.width = width
         self._buffer: deque[float] = deque(maxlen=width)
         self.value = 0.0
 

@@ -23,57 +23,7 @@ from .estimator import (FirstMomentEMA, PowerEMA, SecondMomentEMA, VarianceEMA,
                         WindowAverage, default_beta)
 
 
-# -- stepsize formulas ----------------------------------------------------
-
-def constant_stepsize(radius: float, schedule) -> float:
-    """Single step R / sqrt(sum_k level(k)^2), tuned to the whole horizon."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    energy = float(np.sum(schedule.levels() ** 2))
-    if energy <= 0:
-        raise ValueError("schedule has zero total noise energy")
-    return radius / math.sqrt(energy)
-
-
-def idealized_stepsize(radius: float, horizon: int, levels):
-    """Per-iteration steps R / (sqrt(T) * level_k), for one level or an array."""
-    levels = np.asarray(levels, dtype=float)
-    if np.any(levels <= 0):
-        raise ValueError("idealized stepsizes need strictly positive levels")
-    return radius / (math.sqrt(horizon) * levels)
-
-
-def adaptive_defaults(radius: float, max_level: float, horizon: int,
-                      m_coeff: float = 2.0) -> tuple[float, float, float]:
-    """Recommended (c, m, beta) for the adaptive rule on horizon T.
-
-    c = R / sqrt(T), m = m_coeff * M * T^(-1/9) * ln(T)^(1/3),
-    beta = 1 - 2 T^(-2/3). The analysis behind these values assumes T large
-    enough that 2 T^(-1/9) ln(T)^(1/3) <= 1; smaller horizons only get a
-    warning, since small-T behaviour is itself of interest.
-    """
-    horizon = int(horizon)
-    c = radius / math.sqrt(horizon)
-    _warn_below_regime(horizon)
-    return c, variance_m_base(max_level, horizon, m_coeff), default_beta(horizon)
-
-
-def first_moment_defaults(radius: float, max_level: float, horizon: int,
-                          m_coeff: float = 8.0) -> tuple[float, float, float]:
-    """Recommended (c, m, beta) for the first-moment estimator variant.
-
-    c = R / sqrt(T), m = m_coeff * M * T^(-1/6) * ln(T)^(1/2): the tighter
-    concentration of plain norms permits a smaller correction constant than
-    the squared-norm rule, raising the attainable speedup from T^(1/9) to
-    T^(1/6). Assumes T large enough that 8 ln(T) <= T^(1/3), the cube of the
-    squared-norm rule's regime condition, so both warn below the same T.
-    """
-    horizon = int(horizon)
-    c = radius / math.sqrt(horizon)
-    _warn_below_regime(horizon)
-    m = m_coeff * max_level * horizon ** (-1.0 / 6.0) * math.sqrt(math.log(horizon))
-    return c, m, default_beta(horizon)
-
+# -- shared parts of the formulas --------------------------------------------
 
 def variance_m_base(max_level: float, horizon: int, coeff: float = 8.0) -> float:
     """Noise part coeff * M * T^(-1/9) * ln(T)^(1/3) of the adaptive corrections m."""
@@ -92,11 +42,20 @@ def _warn_below_regime(horizon: int) -> None:
             RuntimeWarning, stacklevel=3)
 
 
-def variance_adaptive_correction(c: float, L: float, m_base: float) -> float:
-    """m = m_base + 2cL, which caps every stepsize c/(sigma_hat + m) at 1/(2L)."""
-    if c <= 0 or L <= 0:
-        raise ValueError("c and L must be positive")
-    return m_base + 2.0 * c * L
+def _noise_energy(schedule) -> float:
+    """sum_k level_k^2, which both constant baselines divide by."""
+    energy = float(np.sum(schedule.levels() ** 2))
+    if energy <= 0:
+        raise ValueError("schedule has zero total noise energy")
+    return energy
+
+
+def _positive_levels(schedule) -> np.ndarray:
+    """The levels both idealized baselines divide by, all strictly positive."""
+    levels = schedule.levels()
+    if np.any(levels <= 0):
+        raise ValueError("idealized stepsizes need strictly positive levels")
+    return levels
 
 
 # -- policy objects --------------------------------------------------------
@@ -205,11 +164,15 @@ class PairedAdaptiveStep(AdaptiveStep):
 # -- factories --------------------------------------------------------------
 
 def constant_baseline(radius: float, schedule) -> FixedStep:
-    return FixedStep(constant_stepsize(radius, schedule), name="constant")
+    """Single step R / sqrt(sum_k level(k)^2), tuned to the whole horizon."""
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    return FixedStep(radius / math.sqrt(_noise_energy(schedule)), name="constant")
 
 
 def idealized_baseline(radius: float, schedule, horizon: int) -> ScheduledStep:
-    return ScheduledStep(idealized_stepsize(radius, horizon, schedule.levels()),
+    """Per-iteration steps R / (sqrt(T) * level_k)."""
+    return ScheduledStep(radius / (math.sqrt(horizon) * _positive_levels(schedule)),
                          name="idealized")
 
 
@@ -218,18 +181,26 @@ def make_adaptive(radius: float, max_level: float, horizon: int,
                   m: float | None = None, beta: float | None = None,
                   estimator: type = SecondMomentEMA, p: float | None = None,
                   window: int | None = None, name: str = "adaptive") -> AdaptiveStep:
-    """Adaptive policy on an ``estimator`` class; a None parameter takes its default."""
-    if estimator is FirstMomentEMA:
-        c_def, m_def, beta_def = first_moment_defaults(
-            radius, max_level, horizon,
-            m_coeff=8.0 if m_coeff is None else m_coeff)
-    else:
-        c_def, m_def, beta_def = adaptive_defaults(
-            radius, max_level, horizon,
-            m_coeff=2.0 if m_coeff is None else m_coeff)
-    c = c_def if c is None else c
-    m = m_def if m is None else m
-    beta = beta_def if beta is None else beta
+    """Adaptive policy on an ``estimator`` class; a None parameter takes its default.
+
+    c = R / sqrt(T), beta = 1 - 2 T^(-2/3), m = m_coeff * M * T^(-1/9) *
+    ln(T)^(1/3) with m_coeff = 2. The first-moment estimator's plain norms
+    concentrate more tightly, which permits m = m_coeff * M * T^(-1/6) *
+    ln(T)^(1/2) with m_coeff = 8 and raises the attainable speedup from
+    T^(1/9) to T^(1/6). The analysis assumes 2 T^(-1/9) ln(T)^(1/3) <= 1
+    (cubed, the first-moment form 8 ln(T) <= T^(1/3)); smaller horizons only
+    get a warning, since small-T behaviour is itself of interest.
+    """
+    horizon = int(horizon)
+    c = radius / math.sqrt(horizon) if c is None else c
+    _warn_below_regime(horizon)
+    if m is None and estimator is FirstMomentEMA:
+        m = ((8.0 if m_coeff is None else m_coeff) * max_level
+             * horizon ** (-1.0 / 6.0) * math.sqrt(math.log(horizon)))
+    elif m is None:
+        m = variance_m_base(max_level, horizon, 2.0 if m_coeff is None else m_coeff)
+    beta_default = default_beta(horizon)  # rejects T < 3 even when beta is given
+    beta = beta_default if beta is None else beta
     if estimator is WindowAverage:  # a width, not a decay
         est = WindowAverage(window if window is not None else max(1, horizon // 10))
     elif estimator is PowerEMA:
@@ -246,7 +217,8 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
     """Variance-adaptive policy; needs the problem's smoothness constant.
 
     Default c is R / sqrt(T) on convex problems and sqrt(2 delta / (L T)) on
-    nonconvex ones; the correction constant always includes the 2cL term.
+    nonconvex ones. The correction m = m_base + 2cL caps every stepsize
+    c/(sigma_hat + m) at 1/(2L).
     """
     if problem.L is None or problem.L <= 0:
         raise ValueError("variance-adaptive policy needs a positive smoothness constant")
@@ -256,7 +228,7 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
         else:
             c = math.sqrt(2.0 * problem.initial_gap() / (problem.L * horizon))
     m_base = variance_m_base(max_level, horizon, 8.0 if m_coeff is None else m_coeff)
-    m = variance_adaptive_correction(c, problem.L, m_base)
+    m = m_base + 2.0 * c * problem.L
     beta = default_beta(horizon) if beta is None else beta
     return PairedAdaptiveStep(c, m, VarianceEMA(beta), name=name)
 
@@ -280,20 +252,14 @@ def _nonconvex_steps(problem, kind: str, total: float, levels=1.0):
 
 def nonconvex_constant_baseline(problem, schedule) -> FixedStep:
     """eta = sqrt(2 delta / (L sum_k level_k^2)) at every k, clipped at 1/(2L)."""
-    energy = float(np.sum(schedule.levels() ** 2))
-    if energy <= 0:
-        raise ValueError("schedule has zero total noise energy")
-    return FixedStep(float(_nonconvex_steps(problem, "constant", energy)),
-                     name="constant")
+    return FixedStep(float(_nonconvex_steps(problem, "constant",
+                                            _noise_energy(schedule))), name="constant")
 
 
 def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
     """eta_k = sqrt(2 delta / (L T)) / level_k, clipped at 1/(2L)."""
-    levels = schedule.levels()
-    if np.any(levels <= 0):
-        raise ValueError("idealized stepsizes need strictly positive levels")
     return ScheduledStep(_nonconvex_steps(problem, "idealized", schedule.horizon,
-                                          levels), name="idealized")
+                                          _positive_levels(schedule)), name="idealized")
 
 
 # -- the policy table: name -> (build, bound) ---------------------------------

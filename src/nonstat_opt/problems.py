@@ -34,14 +34,13 @@ class Problem:
 
     convex: bool = False
 
-    def __init__(self, dim: int, x_star: np.ndarray, f_star: float,
-                 start: np.ndarray, L: float | None, name: str):
-        self.dim = int(dim)
+    def __init__(self, x_star: np.ndarray, f_star: float, start: np.ndarray,
+                 L: float | None):
         self.x_star = np.asarray(x_star, dtype=float)
+        self.dim = self.x_star.size
         self.f_star = float(f_star)
         self.start = np.asarray(start, dtype=float)
         self.L = L
-        self.name = name
         self.radius = float(np.linalg.norm(self.start - self.x_star))
 
     def value(self, x: np.ndarray) -> float:
@@ -74,7 +73,7 @@ class Quadratic(Problem):
     convex = True
 
     def __init__(self, A: np.ndarray, b: np.ndarray, x_star: np.ndarray,
-                 start: np.ndarray, name: str = "quadratic"):
+                 start: np.ndarray):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         self.A = A
@@ -83,7 +82,7 @@ class Quadratic(Problem):
         self.hessian = A.T @ A / self.n
         f_star = float(np.sum((A @ x_star - b) ** 2)) / (2.0 * self.n)
         L = power_iteration(self.hessian)
-        super().__init__(A.shape[1], x_star, f_star, start, L, name)
+        super().__init__(x_star, f_star, start, L)
 
     def value(self, x: np.ndarray) -> float:
         r = self.A @ (np.asarray(x, dtype=float)) - self.b
@@ -138,7 +137,7 @@ class SmoothNonconvex(Problem):
     convex = False
 
     def __init__(self, dim: int, start: np.ndarray):
-        super().__init__(dim, np.zeros(dim), 0.0, start, 2.0, "smooth_nonconvex")
+        super().__init__(np.zeros(dim), 0.0, start, 2.0)
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

@@ -7,28 +7,11 @@ list copy of it, so every reader sees the same values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 KINDS = ("constant", "piecewise_linear", "adversarial_spike", "custom")
-
-
-@dataclass(frozen=True)
-class ScheduleSummary:
-    """Headline statistics of a schedule.
-
-    ``total_variation_sq`` is the accumulated absolute change of the squared
-    levels across consecutive iterations. ``within_variation_bound`` flags
-    whether it stays below four times the squared maximum level, the regime
-    the adaptive-stepsize guarantees assume.
-    """
-
-    max_level: float
-    min_level: float
-    total_variation_sq: float
-    within_variation_bound: bool
 
 
 def _floor(horizon: int, alpha: float, min_horizon: int, kind: str) -> float:
@@ -137,6 +120,8 @@ class NoiseSchedule:
         return float(self._levels.min())
 
     def total_variation_sq(self) -> float:
+        """D^2 = sum_k |level(k+1)^2 - level(k)^2|; the adaptive-stepsize
+        guarantees assume D^2 <= 4 M^2, M = max_level()."""
         # A plain sequential sum of level(k) ** 2 terms, which the tests recompute
         # exactly; numpy's array square (x * x) can differ from x ** 2 by an ulp.
         total = 0.0
@@ -146,13 +131,3 @@ class NoiseSchedule:
                 total += abs(prev - v)
             prev = v
         return total
-
-    def summary(self) -> ScheduleSummary:
-        m = self.max_level()
-        d_sq = self.total_variation_sq()
-        return ScheduleSummary(
-            max_level=m,
-            min_level=self.min_level(),
-            total_variation_sq=d_sq,
-            within_variation_bound=bool(d_sq <= 4.0 * m * m),
-        )

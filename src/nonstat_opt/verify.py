@@ -8,7 +8,6 @@ acceptance test module, so the tested tolerances live in exactly one place.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -150,13 +149,15 @@ def suite_regret() -> SuiteResult:
     variation allowance D^2 = 4 M^2 rather than the schedule's own variation.
     """
     problem = make_quadratic(seed=3, dim=10, n=40, radius=1.0)
+    seeds = range(20)
+    alpha = 0.5
     crits = []
     for T in (1_000, 10_000):
-        sched = NoiseSchedule.piecewise_linear(T, 0.5)
+        sched = NoiseSchedule.piecewise_linear(T, alpha)
         beta = default_beta(T)
         targets = sched.levels() ** 2
         regrets = []
-        for seed in range(20):
+        for seed in seeds:
             oracle = Oracle(problem, sched, seed=seed)
             trace = run_estimation_only(oracle, problem.x_star, T,
                                         SecondMomentEMA(beta))
@@ -165,7 +166,7 @@ def suite_regret() -> SuiteResult:
         mean_regret = float(np.mean(regrets))
         crits.append(CriterionResult(
             f"regret-T{T}", mean_regret <= cap, mean_regret, cap, "<=",
-            {"beta": beta, "seeds": 20, "alpha": 0.5}))
+            {"beta": beta, "seeds": len(seeds), "alpha": alpha}))
     return SuiteResult("regret", tuple(crits))
 
 
@@ -223,7 +224,7 @@ def suite_theorem1() -> SuiteResult:
             mean = float(np.mean(finals))
             crits.append(CriterionResult(
                 f"{pol_name}-on-{sched_name}", mean <= 1.1 * bound, mean,
-                1.1 * bound, "<=", {"bound": bound, "seeds": 30}))
+                1.1 * bound, "<=", {"bound": bound, "seeds": len(seeds)}))
     return SuiteResult("theorem1", tuple(crits))
 
 
@@ -253,7 +254,8 @@ def suite_adversarial() -> SuiteResult:
     """A single spike leaves the adaptive method behind the constant baseline."""
     problem = _reference_quadratic()
     T = 10_000
-    sched = NoiseSchedule.adversarial_spike(T, 0.3)
+    alpha = 0.3
+    sched = NoiseSchedule.adversarial_spike(T, alpha)
     seeds = range(15)
     med_adaptive = _median_final(_run_seeds(problem, sched, "adaptive", T, seeds))
     med_constant = _median_final(_run_seeds(problem, sched, "constant", T, seeds))
@@ -261,7 +263,7 @@ def suite_adversarial() -> SuiteResult:
     crit = CriterionResult(
         "adaptive-slower-by-1.5x", ratio >= 1.5, ratio, 1.5, ">=",
         {"median_adaptive": med_adaptive, "median_constant": med_constant,
-         "alpha": 0.3})
+         "alpha": alpha})
     return SuiteResult("adversarial", (crit,))
 
 
@@ -279,7 +281,7 @@ def suite_nonconvex() -> SuiteResult:
         mean = float(np.mean(finals))
         crits.append(CriterionResult(
             f"{pol_name}-stationarity", mean <= 1.2 * bound, mean, 1.2 * bound,
-            "<=", {"bound": bound, "delta": delta, "seeds": 30}))
+            "<=", {"bound": bound, "delta": delta, "seeds": len(seeds)}))
     cap = 1.0 / (2.0 * problem.L)
     worst = max(float(rec.stepsizes.max()) for _, rec in _run_seeds(
         problem, sched, "variance_adaptive", T, seeds))
@@ -342,6 +344,4 @@ SUITES = {
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite name: {name!r}; known: {', '.join(SUITES)}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return SUITES[name]()
+    return SUITES[name]()

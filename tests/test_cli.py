@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,20 +160,40 @@ class TestSweep:
         failed = [q for q in expected.values() if q is not None]
         assert len([ln for ln in err.splitlines() if " failed: " in ln]) == len(failed)
 
-    def test_m_override_sets_only_the_estimator_rules(self, tmp_path):
+    @pytest.mark.parametrize("key, values, unreached", [
+        ("m", (0.0, 5.0), "variance_adaptive"),
+        ("beta", (0.5, 0.9), "window"),
+    ], ids=["m-variance_adaptive", "beta-window"])
+    def test_m_override_sets_only_the_estimator_rules(self, tmp_path, key, values,
+                                                     unreached):
         """overrides.m is the correction of adaptive, adaptive_first_moment,
-        pnorm and window; variance_adaptive's is m_base + 2cL."""
+        pnorm and window; variance_adaptive's is m_base + 2cL. overrides.beta
+        is no decay of window, which averages raw samples."""
         rows = []
-        for m in (0.0, 5.0):
+        for value in values:
             cfg = write_config(tmp_path, problem={"kind": "quadratic", "dim": 4,
                                                   "n": 12},
-                               policies=["adaptive", "variance_adaptive"],
-                               T=[50], seeds=[0], overrides={"m": m})
+                               policies=["adaptive", unreached],
+                               T=[50], seeds=[0], overrides={key: value})
             assert main(["sweep", "--config", str(cfg)]) == 0
             lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
             rows.append({r.split(",")[1]: r.split(",", 1)[1] for r in lines[1:]})
-        assert rows[0]["variance_adaptive"] == rows[1]["variance_adaptive"]
+        assert rows[0][unreached] == rows[1][unreached]
         assert rows[0]["adaptive"] != rows[1]["adaptive"]
+
+    def test_only_main_silences_runtime_warnings(self, tmp_path):
+        """A library call of execute_run sees an adaptive cell's regime warning
+        at T=50; the same cell swept through main lets no RuntimeWarning out,
+        so none reaches stderr."""
+        path = write_config(tmp_path, policies=["adaptive"], T=[50], seeds=[0])
+        cfg = ExperimentConfig.parse(json.loads(path.read_text()))
+        with pytest.warns(RuntimeWarning, match="guarantee regime"):
+            row, _, _ = execute_run(cfg, build_problem(cfg), "adaptive", 50, 0.5, 0)
+        assert not row.failed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", str(path)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("name", ["constant", "idealized"])
     def test_baseline_bound_is_the_bound_of_the_steps_taken(self, tmp_path, name):
@@ -440,7 +461,7 @@ def test_runners_are_bound_in_cli_and_verify(name):
 
 
 class TestReadme:
-    """The README's config example and flag list match the code."""
+    """The README's config example, flag list and library sketch match the code."""
 
     TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -462,6 +483,13 @@ class TestReadme:
                  for action in sub._actions for flag in action.option_strings
                  if flag.startswith("--") and flag != "--help"}
         assert documented == flags
+
+    def test_library_sketch_runs(self, capsys):
+        _, block, *rest = self.TEXT.split("```python\n")
+        assert not rest, "the README has one python block"
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+        final, bound = map(float, capsys.readouterr().out.split())
+        assert np.isfinite(final) and np.isfinite(bound)
 
 
 @st.composite

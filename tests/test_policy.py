@@ -1,52 +1,53 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nonstat_opt import (AdaptiveStep, FirstMomentEMA, NoiseSchedule,
                          PairedAdaptiveStep, PowerEMA, SecondMomentEMA,
-                         VarianceEMA, WindowAverage, adaptive_defaults,
-                         constant_stepsize, first_moment_defaults,
-                         idealized_stepsize, make_adaptive, make_quadratic,
+                         VarianceEMA, WindowAverage, constant_baseline,
+                         idealized_baseline, make_adaptive, make_quadratic,
                          make_smooth_nonconvex, make_variance_adaptive,
                          nonconvex_constant_baseline,
-                         nonconvex_idealized_baseline,
-                         variance_adaptive_correction, variance_m_base)
+                         nonconvex_idealized_baseline, variance_m_base)
 
 
 class TestConstantStepsize:
     def test_flat_schedule(self):
-        assert constant_stepsize(1.0, NoiseSchedule.constant(2.0, 25)) == \
+        assert constant_baseline(1.0, NoiseSchedule.constant(2.0, 25)).stepsize(1) == \
             pytest.approx(0.1, rel=1e-12)
 
     def test_recovers_root_t_scaling_for_unit_bound(self):
         # with all levels at the bound M = 1, eta = R / (M sqrt(T))
-        assert constant_stepsize(1.0, NoiseSchedule.constant(1.0, 100)) == \
+        assert constant_baseline(1.0, NoiseSchedule.constant(1.0, 100)).stepsize(1) == \
             pytest.approx(0.1, rel=1e-12)
 
     def test_two_point_schedule(self):
-        assert constant_stepsize(2.0, NoiseSchedule.custom([3.0, 4.0])) == \
+        assert constant_baseline(2.0, NoiseSchedule.custom([3.0, 4.0])).stepsize(2) == \
             pytest.approx(0.4, rel=1e-12)
 
     def test_rejects_zero_schedule(self):
         with pytest.raises(ValueError):
-            constant_stepsize(1.0, NoiseSchedule.constant(0.0, 10))
+            constant_baseline(1.0, NoiseSchedule.constant(0.0, 10))
 
 
 class TestIdealizedStepsize:
     def test_values(self):
-        assert idealized_stepsize(1.0, 100, 0.5) == pytest.approx(0.2, rel=1e-12)
-        assert idealized_stepsize(1.0, 100, 1.0) == pytest.approx(0.1, rel=1e-12)
+        sched = NoiseSchedule.custom([0.5] * 50 + [1.0] * 50)
+        policy = idealized_baseline(1.0, sched, 100)
+        assert policy.stepsize(1) == pytest.approx(0.2, rel=1e-12)
+        assert policy.stepsize(100) == pytest.approx(0.1, rel=1e-12)
 
     def test_composed_with_schedule(self):
         sched = NoiseSchedule.piecewise_linear(100, 1.0)
-        assert idealized_stepsize(1.0, 100, sched.level(10)) == \
+        assert idealized_baseline(1.0, sched, 100).stepsize(10) == \
             pytest.approx(10.0, rel=1e-12)
 
     def test_rejects_zero_level(self):
         with pytest.raises(ValueError):
-            idealized_stepsize(1.0, 100, 0.0)
+            idealized_baseline(1.0, NoiseSchedule.custom([1.0, 0.0]), 2)
 
 
 def adaptive_step(c, m, estimator, value):
@@ -98,67 +99,72 @@ class TestAdaptiveStepsize:
 
 class TestAdaptiveDefaults:
     def test_numerator_scale(self):
-        c, _, _ = adaptive_defaults(2.0, 1.0, 400)
-        assert c == pytest.approx(0.1, rel=1e-12)
+        assert make_adaptive(2.0, 1.0, 400).c == pytest.approx(0.1, rel=1e-12)
 
     def test_correction_constant_near_e_to_nine(self):
         # T = 8103 ~ e^9: m = 2 e^-1 * 9^(1/3)
-        _, m, _ = adaptive_defaults(1.0, 1.0, 8103)
-        assert m == pytest.approx(1.5307, abs=1e-3)
+        assert make_adaptive(1.0, 1.0, 8103).m == pytest.approx(1.5307, abs=1e-3)
 
     def test_decay(self):
-        _, _, beta = adaptive_defaults(1.0, 1.0, 1000)
-        assert beta == pytest.approx(0.98, rel=1e-12)
+        assert make_adaptive(1.0, 1.0, 1000).estimator.beta == \
+            pytest.approx(0.98, rel=1e-12)
 
     def test_warns_below_guarantee_regime(self):
         with pytest.warns(RuntimeWarning):
-            adaptive_defaults(1.0, 1.0, 100)
+            make_adaptive(1.0, 1.0, 100)
 
     def test_coefficient_override(self):
-        _, m2, _ = adaptive_defaults(1.0, 1.0, 10 ** 6, m_coeff=2.0)
-        _, m8, _ = adaptive_defaults(1.0, 1.0, 10 ** 6, m_coeff=8.0)
+        m2 = make_adaptive(1.0, 1.0, 10 ** 6, m_coeff=2.0).m
+        m8 = make_adaptive(1.0, 1.0, 10 ** 6, m_coeff=8.0).m
         assert m8 == pytest.approx(4 * m2, rel=1e-12)
 
 
 class TestFirstMomentDefaults:
     def test_formula(self):
         T = 10 ** 6
-        c, m, beta = first_moment_defaults(2.0, 1.5, T)
-        assert c == pytest.approx(2.0 / 1000.0, rel=1e-12)
-        assert m == pytest.approx(8 * 1.5 * T ** (-1 / 6)
-                                  * math.sqrt(math.log(T)), rel=1e-12)
-        assert beta == pytest.approx(1 - 2 * T ** (-2 / 3), rel=1e-12)
+        policy = make_adaptive(2.0, 1.5, T, estimator=FirstMomentEMA)
+        assert policy.c == pytest.approx(2.0 / 1000.0, rel=1e-12)
+        assert policy.m == pytest.approx(8 * 1.5 * T ** (-1 / 6)
+                                         * math.sqrt(math.log(T)), rel=1e-12)
+        assert policy.estimator.beta == pytest.approx(1 - 2 * T ** (-2 / 3), rel=1e-12)
 
     def test_warns_below_regime(self):
         with pytest.warns(RuntimeWarning):
-            first_moment_defaults(1.0, 1.0, 1000)
+            make_adaptive(1.0, 1.0, 1000, estimator=FirstMomentEMA)
 
 
 @pytest.mark.parametrize("T", [3, 1000, 10 ** 5, 1_465_238, 1_465_239, 2 * 10 ** 6])
 def test_regime_warning_boundary(T):
     """Both rules share the regime 2 T^(-1/9) ln(T)^(1/3) <= 1, whose cube is
-    the first-moment form 8 ln T <= T^(1/3): both warn exactly up to 1,465,238."""
-    for defaults in (adaptive_defaults, first_moment_defaults):
+    the first-moment form 8 ln T <= T^(1/3): both warn exactly up to 1,465,238,
+    and the warning points at make_adaptive's caller."""
+    for estimator in (SecondMomentEMA, FirstMomentEMA):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            defaults(1.0, 1.0, T)
-        assert (len(caught) == 1) == (T <= 1_465_238), (defaults.__name__, T)
+            make_adaptive(1.0, 1.0, T, estimator=estimator)
+        assert (len(caught) == 1) == (T <= 1_465_238), (estimator.__name__, T)
+        assert all(w.filename == __file__ for w in caught)
+
+
+def variance_correction(c, L, max_level, T=1000):
+    """The correction m of make_variance_adaptive with c given, on a problem
+    of smoothness L (with c given, L is the only attribute it reads)."""
+    return make_variance_adaptive(SimpleNamespace(L=L), max_level, T, c=c).m
 
 
 class TestVarianceAdaptiveCorrection:
     def test_cap_at_boundary(self):
-        m = variance_adaptive_correction(0.1, 1.0, 0.0)
+        m = variance_correction(0.1, 1.0, max_level=0.0)  # m_base = 0
         assert m == pytest.approx(0.2, rel=1e-12)
         assert 0.1 / m == pytest.approx(0.5, rel=1e-12)  # max step = 1/(2L)
 
     def test_additivity(self):
-        assert variance_adaptive_correction(0.1, 2.0, 0.3) == \
-            pytest.approx(0.7, rel=1e-12)
+        assert variance_correction(0.1, 2.0, max_level=1.0) == \
+            pytest.approx(variance_m_base(1.0, 1000, coeff=8.0) + 0.4, rel=1e-12)
 
     def test_with_noise_base(self):
-        m = variance_adaptive_correction(
-            0.05, 1.0, variance_m_base(1.0, 1000, coeff=8.0))
-        assert m == pytest.approx(7.173, abs=2e-3)
+        assert variance_correction(0.05, 1.0, max_level=1.0) == \
+            pytest.approx(7.173, abs=2e-3)
 
 
 class TestNonconvexStepsizes:
