@@ -5,8 +5,8 @@ from .problems import (Problem, Quadratic, SmoothNonconvex, make_quadratic,
                        make_smooth_nonconvex, power_iteration)
 from .oracle import Oracle
 from .estimator import (FirstMomentEMA, PowerEMA, SecondMomentEMA,
-                        VarianceEMA, WindowAverage, default_beta, regret,
-                        regret_bound)
+                        SquaredNorms, VarianceEMA, WindowAverage, default_beta,
+                        regret, regret_bound)
 from .policy import (AdaptiveStep, FixedStep, PairedAdaptiveStep,
                      ScheduledStep, StepPolicy, constant_baseline,
                      idealized_baseline, make_adaptive, make_variance_adaptive,

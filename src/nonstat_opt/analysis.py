@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import SQUARED_KINDS, regret
+from .estimator import regret
 
 REGIME_MATCHES_IDEALIZED = "matches-idealized"
 REGIME_BEATS_CONSTANT_ONLY = "beats-constant-only"
@@ -78,18 +78,17 @@ def adaptive_stationarity_bound(delta: float, L: float, schedule, m: float,
     return math.sqrt(2.0 * L * delta / T) * (constant * T / _harmonic(schedule, m))
 
 
-def classify_regime(schedule, horizon: int | None = None) -> str:
+def classify_regime(schedule) -> str:
     """Where the adaptive rate lands relative to the two baselines.
 
     The adaptive method provably matches the idealized rate (up to logs) when
     M / min_k m_k <= T^(1/9); failing that, it is still no slower than the
     constant baseline when M / m_avg <= T^(1/9) with m_avg^2 = sum m_k^2 / T.
     """
-    T = schedule.horizon if horizon is None else int(horizon)
     levels = schedule.levels()
     m_max = float(levels.max())
     m_min = float(levels.min())
-    threshold = float(T) ** (1.0 / 9.0)
+    threshold = float(schedule.horizon) ** (1.0 / 9.0)
     if m_min > 0 and m_max / m_min <= threshold:
         return REGIME_MATCHES_IDEALIZED
     m_avg = math.sqrt(float(np.mean(levels ** 2)))
@@ -153,7 +152,6 @@ def regret_from_run(record, schedule) -> float:
     """
     if record.estimator_trace is None:
         raise ValueError("run record carries no estimator trace")
-    if record.estimator_kind not in SQUARED_KINDS:
-        raise ValueError(
-            f"estimator trace of kind {record.estimator_kind!r} does not hold squared values")
+    if not record.squared_trace:
+        raise ValueError("the run's estimator trace does not hold squared values")
     return regret(record.estimator_trace, schedule.levels() ** 2)

@@ -27,7 +27,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis
-from .estimator import SQUARED_KINDS
 from .oracle import Oracle
 from .policy import POLICIES
 from .problems import make_quadratic, make_smooth_nonconvex
@@ -261,19 +260,19 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
     bound_value, regret_value = math.nan, None
     try:
         schedule = build_schedule(cfg, horizon, alpha)
-        policy = build(problem, schedule, horizon, cfg.overrides)
+        policy = build(problem, schedule, cfg.overrides)
         oracle = Oracle(problem, schedule, seed=seed)
         started = time.perf_counter()
         if policy.uses_pairs:
-            record = run_variance_adaptive(problem, oracle, policy, horizon, seed)
+            record = run_variance_adaptive(oracle, policy)
         elif problem.convex:
-            record = run_convex(problem, oracle, policy, horizon, seed)
+            record = run_convex(oracle, policy)
         else:
-            record = run_nonconvex(problem, oracle, policy, horizon, seed)
+            record = run_nonconvex(oracle, policy)
         elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
         if not record.failed:
             bound_value = bound(problem, schedule, policy, record, float(bound_const))
-            if record.estimator_kind in SQUARED_KINDS:
+            if record.squared_trace:
                 regret_value = analysis.regret_from_run(record, schedule)
     except ValueError as exc:
         record = RunRecord(policy=name, seed=seed, horizon=horizon,
@@ -340,10 +339,17 @@ def write_trajectory_csv(record, schedule, config_hash: str, out_dir: Path) -> P
 
 # -- subcommands -------------------------------------------------------------
 
+def _one_value(cfg: ExperimentConfig, *keys) -> list:
+    """The value of each list key that a one-run command reads; more is a ConfigError."""
+    for key in keys:
+        if len(values := getattr(cfg, key)) > 1:
+            raise ConfigError(f"{key}: this command takes one value, got {values}")
+    return [getattr(cfg, key)[0] for key in keys]
+
+
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
+    name, horizon, alpha, seed = _one_value(cfg, "policies", "T", "alpha", "seeds")
     problem = build_problem(cfg)
-    name = cfg.policies[0]
-    horizon, alpha, seed = cfg.T[0], cfg.alpha[0], cfg.seeds[0]
     row, record, schedule = execute_run(cfg, problem, name, horizon, alpha, seed)
     out_dir = Path(cfg.out)
     write_results_csv([row], out_dir)
@@ -353,9 +359,13 @@ def _cmd_run(cfg: ExperimentConfig, args) -> int:
     print(f"{name} T={horizon} alpha={alpha} seed={seed}: "
           f"final_metric={row.final_metric:.6g} bound={row.bound_value:.6g} "
           f"queries={row.oracle_queries}")
-    if not math.isnan(record.mean_grad_noise_ratio):
+    levels = schedule.levels()
+    level_sq = levels * levels
+    noisy = level_sq > 0.0  # level^2 can underflow to zero for subnormal levels
+    if noisy.any():  # cumsum adds left to right, unlike np.sum's pairwise tree
+        ratios = record.grad_norm_sq[noisy] / level_sq[noisy]
         print(f"mean ||grad f||^2 / level^2 along the run: "
-              f"{record.mean_grad_noise_ratio:.4g}")
+              f"{float(np.cumsum(ratios)[-1]) / ratios.size:.4g}")
     print(f"wrote {out_dir / 'results.csv'} and {traj}")
     return 0
 
@@ -391,8 +401,9 @@ def _cmd_verify(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_schedule_dump(cfg: ExperimentConfig, args) -> int:
+    horizon, alpha = _one_value(cfg, "T", "alpha")
     try:
-        schedule = build_schedule(cfg, cfg.T[0], cfg.alpha[0])
+        schedule = build_schedule(cfg, horizon, alpha)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from None
     lines = ["k,level"] + [f"{k},{_fmt(level)}"

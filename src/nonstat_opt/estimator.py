@@ -27,17 +27,15 @@ class _EMA:
         self.value = 0.0
 
 
-class _SquaredNorms:
+class SquaredNorms:
     """value holds squared norms, comparable to level_k^2; its root is m_hat."""
 
     def denominator(self, m: float) -> float:
         return math.sqrt(self.value) + m
 
 
-class SecondMomentEMA(_EMA, _SquaredNorms):
+class SecondMomentEMA(_EMA, SquaredNorms):
     """value tracks an EMA of ||g||^2."""
-
-    kind = "second-moment"
 
     def initialize(self, g: np.ndarray) -> None:
         self.value = float(g @ g)
@@ -49,8 +47,6 @@ class SecondMomentEMA(_EMA, _SquaredNorms):
 class FirstMomentEMA(_EMA):
     """value tracks an EMA of ||g||."""
 
-    kind = "first-moment"
-
     def initialize(self, g: np.ndarray) -> None:
         self.value = float(np.linalg.norm(g))
 
@@ -61,10 +57,8 @@ class FirstMomentEMA(_EMA):
         return self.value + m
 
 
-class VarianceEMA(_EMA, _SquaredNorms):
+class VarianceEMA(_EMA, SquaredNorms):
     """value tracks an EMA of ||g - g'||^2 / 2 over independent same-point pairs."""
-
-    kind = "variance"
 
     @staticmethod
     def _sample(g: np.ndarray, g2: np.ndarray) -> float:
@@ -81,8 +75,6 @@ class VarianceEMA(_EMA, _SquaredNorms):
 class PowerEMA(_EMA):
     """value tracks an EMA of ||g||^p (Adamax-style generalisation)."""
 
-    kind = "pnorm"
-
     def __init__(self, beta: float, p: float):
         if p <= 0:
             raise ValueError(f"power p must be positive, got {p}")
@@ -90,25 +82,23 @@ class PowerEMA(_EMA):
         self.p = float(p)
 
     def initialize(self, g: np.ndarray) -> None:
-        self.value = float(np.linalg.norm(g)) ** self.p
+        self.value = float(np.linalg.norm(g) ** self.p)
 
     def update(self, g: np.ndarray) -> None:
-        s = float(np.linalg.norm(g)) ** self.p
+        s = float(np.linalg.norm(g) ** self.p)
         self.value = self.beta * self.value + (1.0 - self.beta) * s
 
     def denominator(self, m: float) -> float:
-        return (self.value + m ** self.p) ** (1.0 / self.p)
+        return float((self.value + np.float64(m) ** self.p) ** (1.0 / self.p))
 
 
-class WindowAverage(_SquaredNorms):
+class WindowAverage(SquaredNorms):
     """value is the plain mean of the last W raw samples of ||g||^2.
 
     Averaging raw samples (rather than past estimates) is what removes the
     logarithmic factor the EMA pays for its non-uniform error accumulation;
     the price is O(W) memory.
     """
-
-    kind = "window"
 
     def __init__(self, width: int):
         width = int(width)
@@ -130,10 +120,6 @@ class WindowAverage(_SquaredNorms):
 
     def update(self, g: np.ndarray) -> None:
         self.push_sample(float(g @ g))
-
-
-# Kinds whose value holds squared norms, so it is comparable to level_k^2.
-SQUARED_KINDS = tuple(cls.kind for cls in _SquaredNorms.__subclasses__())
 
 
 def default_beta(horizon: int) -> float:

@@ -8,7 +8,8 @@ streams bit-reproducible, and every draw is counted.
 
 level(k) is the standard deviation of the injected noise, not the root
 second moment of the returned gradient, which also holds ||grad f(x_k)||^2;
-runners report the ratio ||grad f||^2 / level^2 so the gap stays visible.
+the ``run`` command reports the ratio ||grad f||^2 / level^2 so the gap
+stays visible.
 """
 from __future__ import annotations
 

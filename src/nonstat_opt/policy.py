@@ -170,10 +170,10 @@ def constant_baseline(radius: float, schedule) -> FixedStep:
     return FixedStep(radius / math.sqrt(_noise_energy(schedule)), name="constant")
 
 
-def idealized_baseline(radius: float, schedule, horizon: int) -> ScheduledStep:
-    """Per-iteration steps R / (sqrt(T) * level_k)."""
-    return ScheduledStep(radius / (math.sqrt(horizon) * _positive_levels(schedule)),
-                         name="idealized")
+def idealized_baseline(radius: float, schedule) -> ScheduledStep:
+    """Per-iteration steps R / (sqrt(T) * level_k), T the schedule's horizon."""
+    steps = radius / (math.sqrt(schedule.horizon) * _positive_levels(schedule))
+    return ScheduledStep(steps, name="idealized")
 
 
 def make_adaptive(radius: float, max_level: float, horizon: int,
@@ -263,13 +263,13 @@ def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
 
 
 # -- the policy table: name -> (build, bound) ---------------------------------
-# build(problem, schedule, horizon, overrides) honours overrides["c"] as the
+# build(problem, schedule, overrides) honours overrides["c"] as the
 # step scale, a None override meaning unset; bound(problem, schedule, policy,
 # record, bound_const) gives a baseline the bound of the steps it took and an
 # adaptive rule its rate bound at the default scale. Both look factories and
 # analysis functions up by name on each call, so wrappers installed there see them.
 
-def _build_constant(problem, schedule, horizon, ov):
+def _build_constant(problem, schedule, ov):
     if ov.get("c") is not None:
         return FixedStep(ov["c"], name="constant")
     if problem.convex:
@@ -277,24 +277,24 @@ def _build_constant(problem, schedule, horizon, ov):
     return nonconvex_constant_baseline(problem, schedule)
 
 
-def _build_idealized(problem, schedule, horizon, ov):
+def _build_idealized(problem, schedule, ov):
     if ov.get("c") is not None:
         return ScheduledStep(ov["c"] / schedule.levels(), name="idealized")
     if problem.convex:
-        return idealized_baseline(problem.radius, schedule, horizon)
+        return idealized_baseline(problem.radius, schedule)
     return nonconvex_idealized_baseline(problem, schedule)
 
 
-def _build_adaptive(estimator, name, problem, schedule, horizon, ov):
-    return make_adaptive(problem.radius, schedule.max_level(), horizon,
+def _build_adaptive(estimator, name, problem, schedule, ov):
+    return make_adaptive(problem.radius, schedule.max_level(), schedule.horizon,
                          m_coeff=ov.get("m_coeff"), c=ov.get("c"),
                          m=ov.get("m"), beta=ov.get("beta"),
                          estimator=estimator,
                          p=ov.get("p"), window=ov.get("window"), name=name)
 
 
-def _build_variance_adaptive(problem, schedule, horizon, ov):
-    return make_variance_adaptive(problem, schedule.max_level(), horizon,
+def _build_variance_adaptive(problem, schedule, ov):
+    return make_variance_adaptive(problem, schedule.max_level(), schedule.horizon,
                                   c=ov.get("c"), m_coeff=ov.get("m_coeff"),
                                   beta=ov.get("beta"))
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import SquaredNorms
+
 _SAMPLER_SALT = 0x5E11  # decorrelates the index-sampling stream from the oracle's
 
 
@@ -26,12 +28,11 @@ class RunRecord:
     suboptimality: np.ndarray | None = None
     grad_norm_sq: np.ndarray | None = None
     estimator_trace: np.ndarray | None = None
-    estimator_kind: str | None = None
+    squared_trace: bool = False
     x_bar: np.ndarray | None = None
     sampled_index: int | None = None
     final_metric: float = math.nan
     oracle_queries: int = 0
-    mean_grad_noise_ratio: float = math.nan
     failed: bool = False
     failure_reason: str | None = None
 
@@ -50,20 +51,21 @@ class WeightedIndexReservoir:
             self.index = index
 
 
-def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool) -> RunRecord:
+def _run(oracle, policy, averaged: bool) -> RunRecord:
     """SGD x_{k+1} = x_k - eta_k g_k; paired policies step with the pair average.
 
-    Every run traces ||grad f(x_k)||^2. ``averaged`` selects the output: the
-    stepsize-weighted average of the query points x_1..x_T with an f(x_k)
-    trace, or a stepsize-weighted random index with eta_k <= 1/(2L)
-    enforced. eta_k is fixed before g_k is drawn. Overflow is reported by
-    the finiteness check, not by numpy warnings.
+    The problem, the horizon T (the schedule's length) and the seed are the
+    oracle's. Every run traces ||grad f(x_k)||^2. ``averaged`` selects the
+    output: the stepsize-weighted average of the query points x_1..x_T with
+    an f(x_k) trace, or a stepsize-weighted random index with eta_k <=
+    1/(2L) enforced. eta_k is fixed before g_k is drawn. Overflow is
+    reported by the finiteness check, not by numpy warnings.
     """
-    T = int(horizon)
+    problem, T, seed = oracle.problem, oracle.schedule.horizon, oracle.seed
     grad_sq = np.zeros(T)
     record = RunRecord(policy=policy.name, seed=seed, horizon=T,
                        stepsizes=np.zeros(T), grad_norm_sq=grad_sq,
-                       estimator_kind=getattr(policy.estimator, "kind", None))
+                       squared_trace=isinstance(policy.estimator, SquaredNorms))
     if policy.estimator is not None:
         record.estimator_trace = np.zeros(T)
     x = problem.start.astype(float).copy()
@@ -111,49 +113,43 @@ def _run(problem, oracle, policy, horizon: int, seed: int, averaged: bool) -> Ru
         record.sampled_index = reservoir.index
         record.final_metric = float(grad_sq[reservoir.index - 1])
     record.oracle_queries = oracle.query_count
-    levels = oracle.schedule.levels()[:T]
-    level_sq = levels * levels
-    noisy = level_sq > 0.0  # level^2 can underflow to zero for subnormal levels
-    if noisy.any():  # cumsum adds left to right, unlike np.sum's pairwise tree
-        ratios = grad_sq[noisy] / level_sq[noisy]
-        record.mean_grad_noise_ratio = float(np.cumsum(ratios)[-1]) / ratios.size
     return record
 
 
-def run_convex(problem, oracle, policy, horizon: int, seed: int) -> RunRecord:
+def run_convex(oracle, policy) -> RunRecord:
     """SGD with output x_bar = sum(eta x)/sum(eta) over the query points x_1..x_T."""
-    if not problem.convex:
+    if not oracle.problem.convex:
         raise ValueError("run_convex needs a convex problem")
-    return _run(problem, oracle, policy, horizon, seed, True)
+    return _run(oracle, policy, True)
 
 
-def run_nonconvex(problem, oracle, policy, horizon: int, seed: int) -> RunRecord:
+def run_nonconvex(oracle, policy) -> RunRecord:
     """Single-sample SGD on a smooth problem; outputs a stepsize-weighted
     random iterate index and its squared gradient norm."""
-    if problem.L is None or problem.L <= 0:
+    if oracle.problem.L is None or oracle.problem.L <= 0:
         raise ValueError("run_nonconvex needs a problem with a known smoothness constant")
     if policy.uses_pairs:
         raise ValueError("paired policies go through run_variance_adaptive")
-    return _run(problem, oracle, policy, horizon, seed, False)
+    return _run(oracle, policy, False)
 
 
-def run_variance_adaptive(problem, oracle, policy, horizon: int, seed: int) -> RunRecord:
+def run_variance_adaptive(oracle, policy) -> RunRecord:
     """Paired-sample run: step with the pair average, estimate the variance
     from the pair difference. Convex problems report the weighted-average
     output; others report a stepsize-weighted random iterate."""
     if not policy.uses_pairs:
         raise ValueError("run_variance_adaptive needs a paired policy")
-    return _run(problem, oracle, policy, horizon, seed, problem.convex)
+    return _run(oracle, policy, oracle.problem.convex)
 
 
-def run_estimation_only(oracle, x: np.ndarray, horizon: int, estimator) -> np.ndarray:
-    """Feed T oracle samples at a fixed point through an estimator.
+def run_estimation_only(oracle, x: np.ndarray, estimator) -> np.ndarray:
+    """Feed the schedule's T oracle samples at a fixed point through an estimator.
 
     Returns the trace of values in effect at each iteration (the value the
     stepsize rule would have used, before seeing that iteration's gradient).
     Consumes T + 1 queries: one to initialize, then one per iteration.
     """
-    T = int(horizon)
+    T = oracle.schedule.horizon
     trace = np.zeros(T)
     estimator.initialize(oracle.query(x, 1))
     for k in range(1, T + 1):

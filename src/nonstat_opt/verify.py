@@ -75,28 +75,28 @@ def _reference_quadratic(radius: float = 1.0):
     return make_quadratic(seed=0, dim=40, n=80, radius=radius, cond=1e6)
 
 
-def _run_seeds(problem, schedule, name, horizon, seeds, overrides=None):
+def _run_seeds(problem, schedule, name, seeds, overrides=None):
     """Yield (policy, record) per seed, each run with its own oracle and policy;
     records are not kept, so a suite holds one run's traces at a time."""
     build, _ = pol.POLICIES[name]
     for seed in seeds:
         oracle = Oracle(problem, schedule, seed=seed)
-        policy = build(problem, schedule, horizon, overrides or {})
+        policy = build(problem, schedule, overrides or {})
         if policy.uses_pairs:
             runner = run_variance_adaptive
         elif problem.convex:
             runner = run_convex
         else:
             runner = run_nonconvex
-        yield policy, runner(problem, oracle, policy, horizon, seed=seed)
+        yield policy, runner(oracle, policy)
 
 
-def _finals_and_bound(problem, schedule, name, horizon, seeds, overrides=None):
+def _finals_and_bound(problem, schedule, name, seeds, overrides=None):
     """Each seed's final metric, the last seed's policy, and its bound as a
     function of the bound constant: the POLICIES bound that results.csv reports."""
     bound = pol.POLICIES[name][1]
     finals = []
-    for policy, rec in _run_seeds(problem, schedule, name, horizon, seeds, overrides):
+    for policy, rec in _run_seeds(problem, schedule, name, seeds, overrides):
         finals.append(rec.final_metric)
     return np.array(finals), policy, partial(bound, problem, schedule, policy, rec)
 
@@ -159,8 +159,7 @@ def suite_regret() -> SuiteResult:
         regrets = []
         for seed in seeds:
             oracle = Oracle(problem, sched, seed=seed)
-            trace = run_estimation_only(oracle, problem.x_star, T,
-                                        SecondMomentEMA(beta))
+            trace = run_estimation_only(oracle, problem.x_star, SecondMomentEMA(beta))
             regrets.append(regret(trace, targets))
         cap = regret_bound(max_level=1.0, variation_sq=4.0, horizon=T)
         mean_regret = float(np.mean(regrets))
@@ -183,7 +182,7 @@ def suite_rates() -> SuiteResult:
     for T in horizons:
         sched = NoiseSchedule.piecewise_linear(T, alpha)
         for name in medians:
-            med = _median_final(_run_seeds(problem, sched, name, T, seeds))
+            med = _median_final(_run_seeds(problem, sched, name, seeds))
             medians[name].append((T, med))
     fits = {name: analysis.fit_slope(pts) for name, pts in medians.items()}
     sep = fits["constant"].slope - fits["adaptive"].slope
@@ -219,7 +218,7 @@ def suite_theorem1() -> SuiteResult:
     for sched_name, sched in (("flat", NoiseSchedule.constant(1.0, T)),
                               ("ramp", NoiseSchedule.piecewise_linear(T, 0.25))):
         for pol_name in ("constant", "idealized"):
-            finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, T, seeds)
+            finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, seeds)
             bound = bound_at(32.0)
             mean = float(np.mean(finals))
             crits.append(CriterionResult(
@@ -237,7 +236,7 @@ def suite_theorem2() -> SuiteResult:
     crits = []
     for m_coeff in (2.0, 8.0):
         finals, policy, bound_at = _finals_and_bound(
-            problem, sched, "adaptive", T, seeds, {"m_coeff": m_coeff})
+            problem, sched, "adaptive", seeds, {"m_coeff": m_coeff})
         bound_proved = bound_at(32.0)
         bound_stated = bound_at(4.0)
         frac32 = float(np.mean(finals <= bound_proved))
@@ -257,8 +256,8 @@ def suite_adversarial() -> SuiteResult:
     alpha = 0.3
     sched = NoiseSchedule.adversarial_spike(T, alpha)
     seeds = range(15)
-    med_adaptive = _median_final(_run_seeds(problem, sched, "adaptive", T, seeds))
-    med_constant = _median_final(_run_seeds(problem, sched, "constant", T, seeds))
+    med_adaptive = _median_final(_run_seeds(problem, sched, "adaptive", seeds))
+    med_constant = _median_final(_run_seeds(problem, sched, "constant", seeds))
     ratio = med_adaptive / med_constant
     crit = CriterionResult(
         "adaptive-slower-by-1.5x", ratio >= 1.5, ratio, 1.5, ">=",
@@ -276,7 +275,7 @@ def suite_nonconvex() -> SuiteResult:
     seeds = range(30)
     crits = []
     for pol_name in ("constant", "idealized"):
-        finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, T, seeds)
+        finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, seeds)
         bound = bound_at(32.0)
         mean = float(np.mean(finals))
         crits.append(CriterionResult(
@@ -284,19 +283,18 @@ def suite_nonconvex() -> SuiteResult:
             "<=", {"bound": bound, "delta": delta, "seeds": len(seeds)}))
     cap = 1.0 / (2.0 * problem.L)
     worst = max(float(rec.stepsizes.max()) for _, rec in _run_seeds(
-        problem, sched, "variance_adaptive", T, seeds))
+        problem, sched, "variance_adaptive", seeds))
     crits.append(CriterionResult(
         "paired-stepsize-cap", worst <= cap, worst, cap, "<=",
         {"enforced": "on every iteration of every run"}))
     return SuiteResult("nonconvex", tuple(crits))
 
 
-def _tuned_median(problem, sched, method, horizon, seeds):
+def _tuned_median(problem, sched, method, seeds):
     """Grid search the stepsize scale over powers of ten; smaller wins ties."""
     best_c, best_med = None, math.inf
     for c in TUNING_GRID:
-        med = _median_final(_run_seeds(problem, sched, method, horizon, seeds,
-                                       {"c": c}))
+        med = _median_final(_run_seeds(problem, sched, method, seeds, {"c": c}))
         if med < best_med:
             best_c, best_med = c, med
     return best_c, best_med
@@ -312,7 +310,7 @@ def suite_ordering() -> SuiteResult:
     T = 2_000
     sched = NoiseSchedule.piecewise_linear(T, 1.0)
     seeds = range(10)
-    tuned = {name: _tuned_median(problem, sched, name, T, seeds)
+    tuned = {name: _tuned_median(problem, sched, name, seeds)
              for name in ("constant", "idealized", "adaptive", "variance_adaptive")}
     med = {name: v[1] for name, v in tuned.items()}
     delta = 0.1

@@ -118,16 +118,16 @@ def test_a9_determinism_and_query_accounting(tmp_path):
     counts = {}
     oracle = Oracle(prob, sched, seed=1)
     counts["constant"] = run_convex(
-        prob, oracle, constant_baseline(prob.radius, sched), T, 1).oracle_queries
+        oracle, constant_baseline(prob.radius, sched)).oracle_queries
     oracle = Oracle(prob, sched, seed=1)
     counts["idealized"] = run_convex(
-        prob, oracle, idealized_baseline(prob.radius, sched, T), T, 1).oracle_queries
+        oracle, idealized_baseline(prob.radius, sched)).oracle_queries
     oracle = Oracle(prob, sched, seed=1)
     counts["adaptive"] = run_convex(
-        prob, oracle, make_adaptive(prob.radius, 1.0, T), T, 1).oracle_queries
+        oracle, make_adaptive(prob.radius, 1.0, T)).oracle_queries
     oracle = Oracle(prob, sched, seed=1)
     counts["paired"] = run_variance_adaptive(
-        prob, oracle, make_variance_adaptive(prob, 1.0, T), T, 1).oracle_queries
+        oracle, make_variance_adaptive(prob, 1.0, T)).oracle_queries
     expected = {"constant": T, "idealized": T, "adaptive": T + 1,
                 "paired": 2 * (T + 1)}
     ok = counts == expected

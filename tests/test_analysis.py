@@ -197,11 +197,11 @@ class TestSlopeFit:
 
 class TestRegretFromRun:
     @staticmethod
-    def _record(trace, kind="second-moment"):
+    def _record(trace, squared=True):
         return RunRecord(policy="adaptive", seed=0, horizon=len(trace),
                          stepsizes=np.ones(len(trace)),
                          estimator_trace=np.asarray(trace, dtype=float),
-                         estimator_kind=kind)
+                         squared_trace=squared)
 
     def test_hand_trace(self):
         sched = NoiseSchedule.custom([1.0, 1.0])
@@ -215,6 +215,6 @@ class TestRegretFromRun:
             regret_from_run(rec, NoiseSchedule.custom([1.0, 1.0]))
 
     def test_unsquared_kind_rejected(self):
-        rec = self._record([1.0, 1.0], kind="first-moment")
+        rec = self._record([1.0, 1.0], squared=False)
         with pytest.raises(ValueError):
             regret_from_run(rec, NoiseSchedule.custom([1.0, 1.0]))

@@ -139,6 +139,15 @@ class TestSweep:
           "policies": ["adaptive", "variance_adaptive"],
           "overrides": {"c": 5.0}},
          {"adaptive": 1, "variance_adaptive": None}),
+        # ||g||^p overflows in pnorm's update (huge c: the iterate grows
+        # until it does) or m^p in its denominator (huge m) to inf, as every
+        # estimator's overflow does: a degenerate denominator, not a traceback
+        ({"problem": {"kind": "quadratic", "dim": 5, "n": 10}, "T": [50],
+          "policies": ["pnorm", "adaptive"], "overrides": {"p": 4.0, "c": 1e60}},
+         {"pnorm": 4, "adaptive": None}),
+        ({"problem": {"kind": "quadratic", "dim": 5, "n": 10}, "T": [50],
+          "policies": ["pnorm", "adaptive"], "overrides": {"p": 4.0, "m": 1e100}},
+         {"pnorm": 1, "adaptive": None}),
     ])
     def test_bad_cell_becomes_failed_row(self, tmp_path, capsys, overrides,
                                          expected):
@@ -267,6 +276,28 @@ class TestRunMode:
         traj = next((tmp_path / "out").glob("trajectory_*.csv"))
         assert traj.read_text().splitlines()[1].split(",")[3] == "nan"
 
+    RATIO_LINE = re.compile(r"^mean \|\|grad f\|\|\^2 / level\^2 along the run: (\S+)$",
+                            re.MULTILINE)
+
+    def test_grad_noise_ratio_is_the_trajectory_mean(self, tmp_path, capsys):
+        """On a non-convex run, column 3 of the trajectory is ||grad f(x_k)||^2
+        and column 5 the level: the printed ratio is their mean quotient."""
+        cfg = write_config(tmp_path, problem={"kind": "smooth_nonconvex", "dim": 6,
+                                              "seed": 1, "radius": 1.0},
+                           policies=["adaptive"], seeds=[2])
+        assert main(["run", "--config", str(cfg)]) == 0
+        printed = self.RATIO_LINE.search(capsys.readouterr().out).group(1)
+        traj = np.loadtxt(next((tmp_path / "out").glob("trajectory_*.csv")),
+                          delimiter=",", skiprows=1)
+        assert printed == format(np.mean(traj[:, 2] / traj[:, 4] ** 2), ".4g")
+
+    def test_no_ratio_without_noise(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, schedule={"kind": "constant", "level": 0.0},
+                           policies=["constant"], seeds=[0], overrides={"c": 0.01})
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "final_metric=" in out and not self.RATIO_LINE.search(out)
+
 
 class TestVerifyCommand:
     def test_jensen_suite_report(self, tmp_path):
@@ -384,6 +415,27 @@ class TestConfigHandling:
         assert err.startswith(f"config error: {key}: "), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, config, flags, key", [
+        ("run", {"policies": ["constant", "adaptive"]}, [], "policies"),
+        ("run", {"T": [100, 200]}, [], "T"),
+        ("run", {"alpha": [0.25, 0.5]}, [], "alpha"),
+        ("run", {"seeds": [0, 1]}, [], "seeds"),
+        ("run", {}, ["--policy", "constant,adaptive", "--T", "100,200"], "policies"),
+        ("schedule-dump", {"T": [100, 200]}, [], "T"),
+        ("schedule-dump", {}, ["--alpha", "0.25,0.5"], "alpha"),
+    ], ids=["run-policies", "run-T", "run-alpha", "run-seeds", "run-flags",
+            "dump-T", "dump-flag-alpha"])
+    def test_one_run_command_takes_one_value_per_list_key(self, tmp_path, capsys,
+                                                          command, config, flags, key):
+        """run and schedule-dump read one value of each list key they use; a
+        second value is a config error, not dropped."""
+        cfg = write_config(tmp_path, **{"policies": ["constant"], "T": [100],
+                                        "seeds": [0], **config})
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key}: "), captured.err
+        assert not captured.out and not (tmp_path / "out").exists()
+
     def test_flag_and_json_key_are_one_value(self, tmp_path):
         """A list key takes a comma string, a number a numeric string, and a
         flag goes through its key's converter: one results.csv, hashes too."""
@@ -452,12 +504,53 @@ class TestConfigHandling:
         assert not problems, "\n".join(problems)
 
 
-@pytest.mark.parametrize("name", ["run_convex", "run_nonconvex",
-                                  "run_variance_adaptive"])
-def test_runners_are_bound_in_cli_and_verify(name):
+RUNNERS = ("run_convex", "run_nonconvex", "run_variance_adaptive")
+HOOK_T = 50
+# cells per runner: six single-sample policies on each problem kind, the paired
+# one on both, and the two verify seeds below
+HOOKED_RUNS = {"run_convex": 6 + 2, "run_nonconvex": 6, "run_variance_adaptive": 2}
+
+
+@pytest.fixture(scope="module")
+def hooked_runs(tmp_path_factory):
+    """[runs, completed iterations] per runner, counted as perfbench/child.py
+    counts them: through wrappers on the names cli and verify bind, over a
+    sweep of every policy on both problem kinds and one verify._run_seeds call."""
+    counts = {name: [0, 0] for name in RUNNERS}
+
+    def counted(name, fn):
+        def hooked(*args, **kwargs):
+            record = fn(*args, **kwargs)
+            counts[name][0] += 1
+            counts[name][1] += int((record.stepsizes > 0).sum())
+            return record
+        return hooked
+
+    work = tmp_path_factory.mktemp("hooked")
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for module in (cli, verify):
+            for name in RUNNERS:
+                patch.setattr(module, name, counted(name, getattr(runner, name)))
+        for problem in ({"kind": "quadratic", "dim": 5, "n": 10},
+                        {"kind": "smooth_nonconvex", "dim": 6, "seed": 1}):
+            cfg = write_config(work, problem=problem, policies=list(POLICIES),
+                               T=[HOOK_T], seeds=[0])
+            assert main(["sweep", "--config", str(cfg)]) == 0
+        quad = build_problem(ExperimentConfig.parse({}))
+        schedule = NoiseSchedule.piecewise_linear(HOOK_T, 0.5)
+        assert len(list(verify._run_seeds(quad, schedule, "adaptive", [0, 1]))) == 2
+    return counts
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_runners_are_bound_in_cli_and_verify(name, hooked_runs):
     """perfbench/child.py counts iterations by wrapping each runner under the
-    name that cli and verify bind it to."""
+    name that cli and verify bind it to, so every cell must go through one."""
     assert getattr(cli, name) is getattr(verify, name) is getattr(runner, name)
+    assert hooked_runs[name] == [HOOKED_RUNS[name], HOOKED_RUNS[name] * HOOK_T]
+    cells = sum(HOOKED_RUNS.values())
+    assert [sum(c) for c in zip(*hooked_runs.values())] == [cells, cells * HOOK_T]
 
 
 class TestReadme:

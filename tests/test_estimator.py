@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonstat_opt import (FirstMomentEMA, NoiseSchedule, PowerEMA,
-                         SecondMomentEMA, VarianceEMA, WindowAverage,
-                         default_beta, regret, regret_bound)
-from nonstat_opt.estimator import SQUARED_KINDS
+                         SecondMomentEMA, SquaredNorms, VarianceEMA,
+                         WindowAverage, default_beta, regret, regret_bound)
 
 
 def mean_norm_gaussian(dim: int, total_std: float) -> float:
@@ -188,19 +187,19 @@ class TestDenominator:
         est = make()
         est.value = 9.0
         assert est.denominator(0.5) == 3.5
-        assert est.kind in SQUARED_KINDS
+        assert isinstance(est, SquaredNorms)
 
     def test_first_moment_is_already_a_norm(self):
         est = FirstMomentEMA(0.9)
         est.value = 3.0
         assert est.denominator(0.5) == 3.5
-        assert est.kind not in SQUARED_KINDS
+        assert not isinstance(est, SquaredNorms)
 
     def test_pnorm_adds_m_to_the_power_p(self):
         est = PowerEMA(0.9, 3.0)
         est.value = 19.0  # 19 + 2^3 = 3^3
         assert est.denominator(2.0) == pytest.approx(3.0, rel=1e-15)
-        assert est.kind not in SQUARED_KINDS
+        assert not isinstance(est, SquaredNorms)
 
 
 class TestDefaultBeta:

@@ -36,18 +36,24 @@ class TestConstantStepsize:
 class TestIdealizedStepsize:
     def test_values(self):
         sched = NoiseSchedule.custom([0.5] * 50 + [1.0] * 50)
-        policy = idealized_baseline(1.0, sched, 100)
+        policy = idealized_baseline(1.0, sched)
         assert policy.stepsize(1) == pytest.approx(0.2, rel=1e-12)
         assert policy.stepsize(100) == pytest.approx(0.1, rel=1e-12)
 
     def test_composed_with_schedule(self):
         sched = NoiseSchedule.piecewise_linear(100, 1.0)
-        assert idealized_baseline(1.0, sched, 100).stepsize(10) == \
+        assert idealized_baseline(1.0, sched).stepsize(10) == \
             pytest.approx(10.0, rel=1e-12)
+
+    def test_horizon_is_the_schedule_length(self):
+        # a 10-level schedule at level 1 steps 1/sqrt(10) at every iteration
+        policy = idealized_baseline(1.0, NoiseSchedule.constant(1.0, 10))
+        for k in (1, 10):
+            assert policy.stepsize(k) == pytest.approx(1 / math.sqrt(10), rel=1e-12)
 
     def test_rejects_zero_level(self):
         with pytest.raises(ValueError):
-            idealized_baseline(1.0, NoiseSchedule.custom([1.0, 0.0]), 2)
+            idealized_baseline(1.0, NoiseSchedule.custom([1.0, 0.0]))
 
 
 def adaptive_step(c, m, estimator, value):

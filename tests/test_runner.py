@@ -75,7 +75,7 @@ class TestConvexRun:
         T = 60
         sched = NoiseSchedule.constant(0.0, T)
         oracle = Oracle(quad, sched, seed=0)
-        rec = run_convex(quad, oracle, FixedStep(0.9 / quad.L), T, seed=0)
+        rec = run_convex(oracle, FixedStep(0.9 / quad.L))
         assert not rec.failed
         assert np.all(np.diff(rec.suboptimality) <= 1e-15)
 
@@ -84,15 +84,15 @@ class TestConvexRun:
         # it is x_1 itself
         sched = NoiseSchedule.constant(0.5, 1)
         oracle = Oracle(quad, sched, seed=3)
-        rec = run_convex(quad, oracle, FixedStep(0.1), 1, seed=3)
+        rec = run_convex(oracle, FixedStep(0.1))
         np.testing.assert_allclose(rec.x_bar, quad.start, rtol=1e-12)
 
     def test_average_recomputable_from_kept_iterates(self, quad):
         T = 25
         sched = NoiseSchedule.piecewise_linear(T, 0.5)
         oracle = PointLog(quad, sched, seed=5)
-        pol = idealized_baseline(quad.radius, sched, T)
-        rec = run_convex(quad, oracle, pol, T, seed=5)
+        pol = idealized_baseline(quad.radius, sched)
+        rec = run_convex(oracle, pol)
         assert len(oracle.points) == T
         recomputed = np.average(oracle.points, axis=0, weights=rec.stepsizes)
         assert np.abs(recomputed - rec.x_bar).max() <= 1e-10
@@ -101,8 +101,7 @@ class TestConvexRun:
         T = 40
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
         oracle = Oracle(quad, sched, seed=6)
-        rec = run_convex(quad, oracle, constant_baseline(quad.radius, sched),
-                         T, seed=6)
+        rec = run_convex(oracle, constant_baseline(quad.radius, sched))
         assert rec.stepsizes.size == rec.suboptimality.size == T
         assert rec.oracle_queries == T
         assert rec.estimator_trace is None
@@ -113,17 +112,17 @@ class TestConvexRun:
         oracle = Oracle(quad, sched, seed=6)
         with pytest.warns(RuntimeWarning):
             pol = make_adaptive(quad.radius, 1.0, T)
-        rec = run_convex(quad, oracle, pol, T, seed=6)
+        rec = run_convex(oracle, pol)
         assert rec.oracle_queries == T + 1
         assert rec.estimator_trace.size == T
-        assert rec.estimator_kind == "second-moment"
+        assert rec.squared_trace
 
     def test_paired_accounting(self, quad):
         T = 40
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
         oracle = Oracle(quad, sched, seed=6)
         pol = make_variance_adaptive(quad, 1.0, T)
-        rec = run_variance_adaptive(quad, oracle, pol, T, seed=6)
+        rec = run_variance_adaptive(oracle, pol)
         assert rec.oracle_queries == 2 * (T + 1)
 
     def test_determinism_bitwise(self, quad):
@@ -134,7 +133,7 @@ class TestConvexRun:
             oracle = Oracle(quad, sched, seed=9)
             with pytest.warns(RuntimeWarning):
                 pol = make_adaptive(quad.radius, 1.0, T)
-            recs.append(run_convex(quad, oracle, pol, T, seed=9))
+            recs.append(run_convex(oracle, pol))
         a, b = recs
         assert np.array_equal(a.stepsizes, b.stepsizes)
         assert np.array_equal(a.suboptimality, b.suboptimality)
@@ -149,7 +148,7 @@ class TestConvexRun:
         oracle = SpyOracle(quad, sched, 1, events)
         with pytest.warns(RuntimeWarning):
             pol = SpyPolicy(make_adaptive(quad.radius, 1.0, T), events)
-        run_convex(quad, oracle, pol, T, seed=1)
+        run_convex(oracle, pol)
         # drop the estimator's init query, then require strict alternation
         loop_events = events[1:]
         for k in range(1, T + 1):
@@ -173,7 +172,7 @@ class TestConvexRun:
             oracle = Oracle(problem, sched, seed=0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                rec = runner(problem, oracle, policy, T, seed=0)
+                rec = runner(oracle, policy)
             assert rec.failed
             assert "overflow" in rec.failure_reason
             assert math.isnan(rec.final_metric)
@@ -189,7 +188,7 @@ class TestConvexRun:
         for seed in range(8):
             oracle = Oracle(quad, sched, seed=seed)
             pol = constant_baseline(quad.radius, sched)
-            finals.append(run_convex(quad, oracle, pol, T, seed=seed).final_metric)
+            finals.append(run_convex(oracle, pol).final_metric)
         assert float(np.median(finals)) <= bound_constant(quad.radius, sched)
 
 
@@ -206,14 +205,14 @@ def test_one_loop_contract(kind, name):
     build, _ = POLICIES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        policy = SpyPolicy(build(problem, sched, T, {}), events)
+        policy = SpyPolicy(build(problem, sched, {}), events)
     oracle = SpyOracle(problem, sched, 2, events)
     if policy.uses_pairs:
-        rec = run_variance_adaptive(problem, oracle, policy, T, seed=2)
+        rec = run_variance_adaptive(oracle, policy)
     elif problem.convex:
-        rec = run_convex(problem, oracle, policy, T, seed=2)
+        rec = run_convex(oracle, policy)
     else:
-        rec = run_nonconvex(problem, oracle, policy, T, seed=2)
+        rec = run_nonconvex(oracle, policy)
     assert not rec.failed
     arity = 2 if policy.uses_pairs else 1
     init = 0 if policy.estimator is None else 1
@@ -232,7 +231,7 @@ class TestVarianceAdaptiveRun:
         sched = NoiseSchedule.constant(0.0, T)
         oracle = Oracle(quad, sched, seed=2)
         pol = make_variance_adaptive(quad, 1.0, T)
-        rec = run_variance_adaptive(quad, oracle, pol, T, seed=2)
+        rec = run_variance_adaptive(oracle, pol)
         assert not rec.failed
         # sigma_hat stays zero, so every step equals c / m
         assert np.all(rec.stepsizes == pol.c / pol.m)
@@ -245,7 +244,7 @@ class TestVarianceAdaptiveRun:
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
         oracle = Oracle(prob, sched, seed=3)
         pol = make_variance_adaptive(prob, sched.max_level(), T)
-        rec = run_variance_adaptive(prob, oracle, pol, T, seed=3)
+        rec = run_variance_adaptive(oracle, pol)
         assert rec.stepsizes.max() <= 1.0 / (2.0 * prob.L)
         assert rec.sampled_index is not None
         assert rec.oracle_queries == 2 * (T + 1)
@@ -257,8 +256,7 @@ class TestNonconvexRun:
         prob = make_smooth_nonconvex(4, radius=1.0, seed=0)
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
         oracle = Oracle(prob, sched, seed=7)
-        rec = run_nonconvex(prob, oracle, nonconvex_constant_baseline(prob, sched),
-                            T, seed=7)
+        rec = run_nonconvex(oracle, nonconvex_constant_baseline(prob, sched))
         assert 1 <= rec.sampled_index <= T
         assert rec.final_metric == rec.grad_norm_sq[rec.sampled_index - 1]
         assert rec.oracle_queries == T
@@ -269,7 +267,7 @@ class TestNonconvexRun:
         sched = NoiseSchedule.constant(1.0, T)
         oracle = Oracle(prob, sched, seed=0)
         with pytest.raises(ValueError):
-            run_nonconvex(prob, oracle, FixedStep(1.0), T, seed=0)
+            run_nonconvex(oracle, FixedStep(1.0))
 
 
 class TestReservoir:
@@ -318,7 +316,7 @@ def test_estimation_only_trace_semantics(quad):
     sched = NoiseSchedule.constant(0.0, T)
     oracle = Oracle(quad, sched, seed=0)
     est = SecondMomentEMA(0.9)
-    trace = run_estimation_only(oracle, quad.x_star, T, est)
+    trace = run_estimation_only(oracle, quad.x_star, est)
     # zero noise at the minimizer: every sample is exactly zero
     assert np.all(trace == 0.0)
     assert oracle.query_count == T + 1
