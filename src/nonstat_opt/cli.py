@@ -5,10 +5,10 @@ Subcommands: ``run`` (one run, with its trajectory dump), ``sweep``
 ``schedule-dump`` (schedule values as CSV for external plotting).
 
 Configuration lives in a JSON file whose keys, types and defaults are stated
-once, in ``SCHEMA``; a command-line flag replaces its key's value before the
-one parse that converts every value. Sweep output is byte-deterministic for a
-given config: rows are emitted in sorted order, and the wall-time column stays
-zero unless timing collection is explicitly requested via ``--timings``.
+once, in ``SCHEMA``; a flag, stated once in ``FLAGS``, replaces its key's value
+before the one parse that converts every value. Sweep output is byte-exact for
+a given config: rows are emitted in sorted order, and the wall-time column
+stays zero unless timing collection is explicitly requested via ``--timings``.
 """
 from __future__ import annotations
 
@@ -92,7 +92,10 @@ def _list(convert):
             value = [item.strip() for item in value.split(",") if item.strip()]
         if not isinstance(value, list) or not value:
             raise ValueError(f"expected a non-empty list, got {value!r}")
-        return [convert(item) for item in value]
+        values = [convert(item) for item in value]
+        if len(set(values)) < len(values):  # a repeated value would rerun its cells
+            raise ValueError(f"expected distinct values, got {values}")
+        return values
     return check
 
 
@@ -148,27 +151,30 @@ class ExperimentConfig(SimpleNamespace):
 
     @classmethod
     def load(cls, args) -> "ExperimentConfig":
-        """The --config file with every flag that was given laid over it, parsed."""
+        """The --config file with every flag that was given laid over its key, parsed."""
+        given = vars(args)
         raw = {}
         if args.config:
             try:
                 raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        if isinstance(raw, dict):  # parse() rejects anything else
-            given = {"out": args.out, "policies": args.policy, "T": args.T,
-                     "alpha": args.alpha,
-                     "seeds": None if args.seed is None else [args.seed]}
-            raw.update((k, v) for k, v in given.items() if v is not None)
-            given = {"m_coeff": args.m_coeff, "bound_const": args.bound_const}
-            if isinstance(raw.setdefault("overrides", {}), dict):
-                raw["overrides"].update((k, v) for k, v in given.items() if v is not None)
-        return cls.parse(raw, timings=args.timings)
+        for flag, (key, _, _) in FLAGS.items():
+            value = given.get(flag[2:].replace("-", "_"))
+            if key and value is not None and isinstance(raw, dict):
+                section, _, name = key.rpartition(".")
+                target = raw.setdefault(section, {}) if section else raw
+                if isinstance(target, dict):  # parse() rejects anything else
+                    target[name] = value
+        return cls.parse(raw, timings=given.get("timings", False))
 
     @classmethod
     def parse(cls, raw, timings: bool = False) -> "ExperimentConfig":
         """Every value converted by SCHEMA; then a custom level file read and checked."""
         cfg = cls(**_parse("", raw, SCHEMA), timings=timings, custom_schedule=None)
+        if cfg.schedule["kind"] in ("constant", "custom") and len(cfg.alpha) > 1:
+            raise ConfigError(f"alpha: a {cfg.schedule['kind']} schedule ignores alpha, "
+                              f"so each value would rerun the same cells, got {cfg.alpha}")
         if cfg.schedule["kind"] == "custom":
             path = cfg.schedule["path"]
             if not path:
@@ -408,33 +414,39 @@ def _cmd_schedule_dump(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"schedule: {exc}") from None
     lines = ["k,level"] + [f"{k},{_fmt(level)}"
                            for k, level in enumerate(schedule.levels().tolist(), 1)]
-    if args.out:
-        print(f"wrote {_write_lines(Path(cfg.out) / 'schedule.csv', lines)}")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="path to a JSON experiment config")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", help="replace the seed list with one seed")
-    sub.add_argument("--workers", type=int,
-                     help="accepted for compatibility; has no effect")
-    sub.add_argument("--policy", help="comma-separated policy names")
-    sub.add_argument("--T", help="comma-separated horizons")
-    sub.add_argument("--alpha", help="comma-separated schedule exponents")
-    sub.add_argument("--m-coeff", dest="m_coeff",
-                     help="coefficient in the adaptive correction constant")
-    sub.add_argument("--bound-const", dest="bound_const",
-                     help="constant used when evaluating the adaptive rate bound")
-    sub.add_argument("--timings", action="store_true",
-                     help="record real wall times (breaks byte-for-byte "
-                          "reproducibility of results.csv)")
+# -- command-line flags: flag -> (config key it replaces, help, argparse options)
+# A key "section.name" is that section's key; None marks a flag that sets no key.
+FLAGS = {
+    "--config": (None, "path to a JSON experiment config", {}),
+    "--out": ("out", "output directory", {}),
+    "--policy": ("policies", "comma-separated policy names", {}),
+    "--T": ("T", "comma-separated horizons", {}),
+    "--alpha": ("alpha", "comma-separated schedule exponents", {}),
+    "--seed": ("seeds", "replace the seed list with one seed", {"type": lambda s: [s]}),
+    "--m-coeff": ("overrides.m_coeff", "coefficient of the adaptive correction", {}),
+    "--bound-const": ("overrides.bound_const", "constant of the adaptive rate bound", {}),
+    "--timings": (None, "record real wall times (breaks byte-for-byte reproducibility "
+                        "of results.csv)", {"action": "store_true"}),
+    "--workers": (None, "accepted for compatibility; has no effect", {"type": int}),
+    "--suite": (None, f"one of: {', '.join(SUITES)}, all", {"default": "all"}),
+}
+_RUN_FLAGS = ("--config", "--out", "--policy", "--T", "--alpha", "--seed",
+              "--m-coeff", "--bound-const", "--timings")
 
-
-COMMANDS = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify,
-            "schedule-dump": _cmd_schedule_dump}
+# command -> (function, help, flags)
+COMMANDS = {
+    "run": (_cmd_run, "execute a single run and dump its trajectory", _RUN_FLAGS),
+    "sweep": (_cmd_sweep, "execute a policy x T x alpha x seed grid",
+              _RUN_FLAGS + ("--workers",)),
+    "verify": (_cmd_verify, "run a named verification suite",
+               ("--config", "--out", "--suite")),
+    "schedule-dump": (_cmd_schedule_dump, "print schedule levels as CSV to stdout",
+                      ("--config", "--T", "--alpha")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,15 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="SGD under non-stationary gradient noise: runs, sweeps and "
                     "guarantee verification")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("run", "execute a single run and dump its trajectory"),
-                            ("sweep", "execute a policy x T x alpha x seed grid"),
-                            ("schedule-dump", "print schedule levels as CSV")):
+    for name, (_, help_text, flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common_flags(sub)
-    ver = subs.add_parser("verify", help="run a named verification suite")
-    _add_common_flags(ver)
-    ver.add_argument("--suite", default="all",
-                     help=f"one of: {', '.join(SUITES)}, all")
+        for flag in flags:
+            _, help_text, options = FLAGS[flag]
+            sub.add_argument(flag, help=help_text, **options)
     return parser
 
 
@@ -461,7 +469,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return COMMANDS[args.command](ExperimentConfig.load(args), args)
+            return COMMANDS[args.command][0](ExperimentConfig.load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

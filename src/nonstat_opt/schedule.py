@@ -116,9 +116,6 @@ class NoiseSchedule:
     def max_level(self) -> float:
         return float(self._levels.max())
 
-    def min_level(self) -> float:
-        return float(self._levels.min())
-
     def total_variation_sq(self) -> float:
         """D^2 = sum_k |level(k+1)^2 - level(k)^2|; the adaptive-stepsize
         guarantees assume D^2 <= 4 M^2, M = max_level()."""

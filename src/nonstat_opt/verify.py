@@ -91,20 +91,15 @@ def _run_seeds(problem, schedule, name, seeds, overrides=None):
         yield policy, runner(oracle, policy)
 
 
-def _finals_and_bound(problem, schedule, name, seeds, overrides=None):
-    """Each seed's final metric, the last seed's policy, and its bound as a
-    function of the bound constant: the POLICIES bound that results.csv reports."""
-    bound = pol.POLICIES[name][1]
+def _finals(problem, schedule, name, seeds, overrides=None):
+    """Each seed's final metric, a failed run's as inf, the last seed's policy,
+    and its bound as a function of the bound constant: the POLICIES bound that
+    results.csv reports."""
     finals = []
     for policy, rec in _run_seeds(problem, schedule, name, seeds, overrides):
-        finals.append(rec.final_metric)
-    return np.array(finals), policy, partial(bound, problem, schedule, policy, rec)
-
-
-def _median_final(runs) -> float:
-    """Median final metric; a failed run counts as infinitely bad."""
-    return float(np.median([math.inf if r.failed else r.final_metric
-                            for _, r in runs]))
+        finals.append(math.inf if rec.failed else rec.final_metric)
+    bound_at = partial(pol.POLICIES[name][1], problem, schedule, policy, rec)
+    return np.array(finals), policy, bound_at
 
 
 # -- suites ------------------------------------------------------------------
@@ -182,8 +177,8 @@ def suite_rates() -> SuiteResult:
     for T in horizons:
         sched = NoiseSchedule.piecewise_linear(T, alpha)
         for name in medians:
-            med = _median_final(_run_seeds(problem, sched, name, seeds))
-            medians[name].append((T, med))
+            finals, _, _ = _finals(problem, sched, name, seeds)
+            medians[name].append((T, float(np.median(finals))))
     fits = {name: analysis.fit_slope(pts) for name, pts in medians.items()}
     sep = fits["constant"].slope - fits["adaptive"].slope
     # Largest measured speedup over the constant baseline across the grid,
@@ -218,7 +213,7 @@ def suite_theorem1() -> SuiteResult:
     for sched_name, sched in (("flat", NoiseSchedule.constant(1.0, T)),
                               ("ramp", NoiseSchedule.piecewise_linear(T, 0.25))):
         for pol_name in ("constant", "idealized"):
-            finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, seeds)
+            finals, _, bound_at = _finals(problem, sched, pol_name, seeds)
             bound = bound_at(32.0)
             mean = float(np.mean(finals))
             crits.append(CriterionResult(
@@ -235,8 +230,8 @@ def suite_theorem2() -> SuiteResult:
     seeds = range(40)
     crits = []
     for m_coeff in (2.0, 8.0):
-        finals, policy, bound_at = _finals_and_bound(
-            problem, sched, "adaptive", seeds, {"m_coeff": m_coeff})
+        finals, policy, bound_at = _finals(problem, sched, "adaptive", seeds,
+                                           {"m_coeff": m_coeff})
         bound_proved = bound_at(32.0)
         bound_stated = bound_at(4.0)
         frac32 = float(np.mean(finals <= bound_proved))
@@ -256,8 +251,8 @@ def suite_adversarial() -> SuiteResult:
     alpha = 0.3
     sched = NoiseSchedule.adversarial_spike(T, alpha)
     seeds = range(15)
-    med_adaptive = _median_final(_run_seeds(problem, sched, "adaptive", seeds))
-    med_constant = _median_final(_run_seeds(problem, sched, "constant", seeds))
+    med_adaptive = float(np.median(_finals(problem, sched, "adaptive", seeds)[0]))
+    med_constant = float(np.median(_finals(problem, sched, "constant", seeds)[0]))
     ratio = med_adaptive / med_constant
     crit = CriterionResult(
         "adaptive-slower-by-1.5x", ratio >= 1.5, ratio, 1.5, ">=",
@@ -275,7 +270,7 @@ def suite_nonconvex() -> SuiteResult:
     seeds = range(30)
     crits = []
     for pol_name in ("constant", "idealized"):
-        finals, _, bound_at = _finals_and_bound(problem, sched, pol_name, seeds)
+        finals, _, bound_at = _finals(problem, sched, pol_name, seeds)
         bound = bound_at(32.0)
         mean = float(np.mean(finals))
         crits.append(CriterionResult(
@@ -294,7 +289,7 @@ def _tuned_median(problem, sched, method, seeds):
     """Grid search the stepsize scale over powers of ten; smaller wins ties."""
     best_c, best_med = None, math.inf
     for c in TUNING_GRID:
-        med = _median_final(_run_seeds(problem, sched, method, seeds, {"c": c}))
+        med = float(np.median(_finals(problem, sched, method, seeds, {"c": c})[0]))
         if med < best_med:
             best_c, best_med = c, med
     return best_c, best_med

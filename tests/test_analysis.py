@@ -106,7 +106,8 @@ class TestAdaptiveBound:
         sched = NoiseSchedule.piecewise_linear(10_000, 0.05)
         m = 1.5
         bound = adaptive_bound(1.0, sched, m, 4.0)
-        envelope = 4.0 * (1 + m / sched.min_level()) * bound_idealized(1.0, sched)
+        min_level = float(sched.levels().min())
+        envelope = 4.0 * (1 + m / min_level) * bound_idealized(1.0, sched)
         assert bound <= envelope * (1 + 1e-12)
 
     def test_selectable_constants_scale_linearly(self):

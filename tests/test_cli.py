@@ -320,6 +320,17 @@ class TestVerifyCommand:
         for crit in report["regret"]["criteria"]:
             assert isinstance(crit["measured"], float)
 
+    def test_failed_run_counts_as_inf(self):
+        """A diverging run is infinitely bad in every suite's seed helper."""
+        problem = build_problem(ExperimentConfig.parse({"problem": {"dim": 5, "n": 10}}))
+        schedule = NoiseSchedule.piecewise_linear(50, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            finals, policy, _ = verify._finals(problem, schedule, "adaptive", [0, 1],
+                                               {"c": 1e200})
+        assert policy.c == 1e200
+        assert finals.tolist() == [np.inf, np.inf]
+
 
 class TestScheduleDump:
     def test_stdout_dump(self, tmp_path, capsys):
@@ -329,6 +340,7 @@ class TestScheduleDump:
         assert lines[0] == "k,level"
         assert len(lines) == 11
         assert lines[5].startswith("5,")
+        assert not (tmp_path / "out").exists()  # the config's "out" is not read
 
     def test_custom_schedule_roundtrip(self, tmp_path, capsys):
         levels = tmp_path / "levels.txt"
@@ -399,12 +411,18 @@ class TestConfigHandling:
          "overrides.window"),
         ({"overrides": {"c": -0.1}}, [], "overrides.c"),
         ({"policies": ["adaptive"], "overrides": {"m": -1.0}}, [], "overrides.m"),
+        # a grid cell runs once: each ran its cells twice and exited 0
+        ({"T": [20, 20]}, [], "T"),
+        ({"alpha": "0.25,0.250"}, [], "alpha"),
+        ({"policies": ["constant", "constant"]}, [], "policies"),
+        ({"schedule": {"kind": "constant"}, "alpha": [0.25, 0.5]}, [], "alpha"),
     ], ids=["null-level", "dim-abc", "T-abc", "flag-T-abc", "flag-alpha-x",
             "problem-list", "n-below-dim", "top-level-list", "unknown-key",
             "beta-x", "m-coeff-3", "flag-bound-const-7", "negative-radius",
             "negative-radius-nonconvex", "negative-seed", "flag-seed-negative",
             "negative-alpha", "negative-level", "beta-one", "p-zero",
-            "window-zero", "negative-c", "negative-m"])
+            "window-zero", "negative-c", "negative-m", "repeated-T",
+            "repeated-alpha-text", "repeated-policy", "alpha-list-constant-schedule"])
     def test_bad_input_names_its_key(self, tmp_path, capsys, config, flags, key):
         path = tmp_path / "config.json"
         if isinstance(config, dict):
@@ -553,6 +571,36 @@ def test_runners_are_bound_in_cli_and_verify(name, hooked_runs):
     assert [sum(c) for c in zip(*hooked_runs.values())] == [cells, cells * HOOK_T]
 
 
+def flags_of(command):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {flag for action in subparsers.choices[command]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"}
+
+
+REMOVED_FLAGS = [("run", "--workers")] + [
+    ("verify", flag) for flag in ("--seed", "--workers", "--policy", "--T", "--alpha",
+                                  "--m-coeff", "--bound-const", "--timings")] + [
+    ("schedule-dump", flag) for flag in ("--out", "--seed", "--workers", "--policy",
+                                         "--m-coeff", "--bound-const", "--timings")]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_command_rejects_a_flag_it_does_not_read(tmp_path, monkeypatch, capsys,
+                                                 command, flag):
+    """Each command takes only the flags it reads; argparse rejects the rest."""
+    assert len(REMOVED_FLAGS) == 16 and flag not in flags_of(command)
+    monkeypatch.chdir(tmp_path)
+    value = [] if flag == "--timings" else ["2"]
+    suite = ["--suite", "jensen"] if command == "verify" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *suite, flag, *value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 class TestReadme:
     """The README's config example, flag list and library sketch match the code."""
 
@@ -568,14 +616,11 @@ class TestReadme:
                 assert raw[key].keys() == entry.keys(), key
 
     def test_flag_list_matches_parser(self):
-        paragraph = self.TEXT.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
-        documented = set(re.findall(r"`(--[A-Za-z-]+)", paragraph))
-        subparsers = next(action for action in build_parser()._actions
-                          if isinstance(action, argparse._SubParsersAction))
-        flags = {flag for sub in subparsers.choices.values()
-                 for action in sub._actions for flag in action.option_strings
-                 if flag.startswith("--") and flag != "--help"}
-        assert documented == flags
+        block = self.TEXT.split("\n## CLI\n", 1)[1].split("\n### ", 1)[0]
+        items = re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |\n\n)", block, re.M | re.S)
+        documented = {command: set(re.findall(r"`(--[A-Za-z-]+)", flags))
+                      for command, flags in items}
+        assert documented == {command: flags_of(command) for command in cli.COMMANDS}
 
     def test_library_sketch_runs(self, capsys):
         _, block, *rest = self.TEXT.split("```python\n")
