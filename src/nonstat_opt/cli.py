@@ -6,7 +6,8 @@ Subcommands: ``run`` (one run, with its trajectory dump), ``sweep``
 
 Configuration lives in a JSON file whose keys, types and defaults are stated
 once, in ``SCHEMA``; a flag, stated once in ``FLAGS``, replaces its key's value
-before the one parse that converts every value. Sweep output is byte-exact for
+before the one parse that converts every value, and each command takes from
+the file only the keys ``COMMANDS`` says it reads. Sweep output is byte-exact for
 a given config: rows are emitted in sorted order, and the wall-time column
 stays zero unless timing collection is explicitly requested via ``--timings``.
 """
@@ -150,8 +151,9 @@ class ExperimentConfig(SimpleNamespace):
     and ``custom_schedule`` (a custom schedule's level file, read once)."""
 
     @classmethod
-    def load(cls, args) -> "ExperimentConfig":
-        """The --config file with every flag that was given laid over its key, parsed."""
+    def load(cls, args, keys) -> "ExperimentConfig":
+        """The --config file with every flag that was given laid over its key, parsed;
+        SCHEMA keys the command does not read (not in ``keys``) keep their defaults."""
         given = vars(args)
         raw = {}
         if args.config:
@@ -159,6 +161,9 @@ class ExperimentConfig(SimpleNamespace):
                 raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        if isinstance(raw, dict):
+            raw = {key: value for key, value in raw.items()
+                   if key in keys or key not in SCHEMA}
         for flag, (key, _, _) in FLAGS.items():
             value = given.get(flag[2:].replace("-", "_"))
             if key and value is not None and isinstance(raw, dict):
@@ -254,11 +259,12 @@ def _run_hash(cfg: ExperimentConfig, name: str, horizon: int, alpha: float,
 
 
 def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
-                alpha: float, seed: int):
+                alpha: float, seed: int, trace_values: bool = False):
     """One (policy, T, alpha, seed) cell: returns (ResultRow, RunRecord, schedule).
 
-    A ValueError from building, running or bounding the cell gives a failed
-    record that keeps the queries already drawn.
+    ``trace_values`` records a convex run's f(x_k) - f* trace. A ValueError
+    from building, running or bounding the cell gives a failed record that
+    keeps the queries already drawn.
     """
     build, bound = POLICIES[name]
     bound_const = cfg.overrides.get("bound_const") or SCHEMA["overrides"]["bound_const"][1]
@@ -270,9 +276,9 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
         oracle = Oracle(problem, schedule, seed=seed)
         started = time.perf_counter()
         if policy.uses_pairs:
-            record = run_variance_adaptive(oracle, policy)
+            record = run_variance_adaptive(oracle, policy, trace_values=trace_values)
         elif problem.convex:
-            record = run_convex(oracle, policy)
+            record = run_convex(oracle, policy, trace_values=trace_values)
         else:
             record = run_nonconvex(oracle, policy)
         elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
@@ -332,6 +338,10 @@ def write_summary_csv(rows, out_dir: Path) -> Path:
 
 
 def write_trajectory_csv(record, schedule, config_hash: str, out_dir: Path) -> Path:
+    """Column 3 is f(x_k) - f* for an averaged run and ||grad f(x_k)||^2 otherwise."""
+    if record.x_bar is not None and record.suboptimality is None:
+        raise ValueError("an averaged run's trajectory needs its f(x) trace "
+                         "(trace_values=True)")
     metric = (record.suboptimality if record.suboptimality is not None
               else record.grad_norm_sq)
     est = record.estimator_trace
@@ -356,7 +366,8 @@ def _one_value(cfg: ExperimentConfig, *keys) -> list:
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
     name, horizon, alpha, seed = _one_value(cfg, "policies", "T", "alpha", "seeds")
     problem = build_problem(cfg)
-    row, record, schedule = execute_run(cfg, problem, name, horizon, alpha, seed)
+    row, record, schedule = execute_run(cfg, problem, name, horizon, alpha, seed,
+                                        trace_values=True)
     out_dir = Path(cfg.out)
     write_results_csv([row], out_dir)
     traj = write_trajectory_csv(record, schedule, row.config_hash, out_dir)
@@ -437,15 +448,16 @@ FLAGS = {
 _RUN_FLAGS = ("--config", "--out", "--policy", "--T", "--alpha", "--seed",
               "--m-coeff", "--bound-const", "--timings")
 
-# command -> (function, help, flags)
+# command -> (function, help, flags, the SCHEMA keys it reads)
 COMMANDS = {
-    "run": (_cmd_run, "execute a single run and dump its trajectory", _RUN_FLAGS),
+    "run": (_cmd_run, "execute a single run and dump its trajectory", _RUN_FLAGS,
+            tuple(SCHEMA)),
     "sweep": (_cmd_sweep, "execute a policy x T x alpha x seed grid",
-              _RUN_FLAGS + ("--workers",)),
+              _RUN_FLAGS + ("--workers",), tuple(SCHEMA)),
     "verify": (_cmd_verify, "run a named verification suite",
-               ("--config", "--out", "--suite")),
+               ("--config", "--out", "--suite"), ("out",)),
     "schedule-dump": (_cmd_schedule_dump, "print schedule levels as CSV to stdout",
-                      ("--config", "--T", "--alpha")),
+                      ("--config", "--T", "--alpha"), ("schedule", "T", "alpha")),
 }
 
 
@@ -455,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="SGD under non-stationary gradient noise: runs, sweeps and "
                     "guarantee verification")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
+    for name, (_, help_text, flags, _) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         for flag in flags:
             _, help_text, options = FLAGS[flag]
@@ -469,7 +481,8 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return COMMANDS[args.command][0](ExperimentConfig.load(args), args)
+            command, _, _, keys = COMMANDS[args.command]
+            return command(ExperimentConfig.load(args, keys), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,10 @@ class Oracle:
         self.seed = int(seed)
         self.query_count = 0
         self._rng = np.random.default_rng(self.seed)
+        self._sqrt_dim = np.sqrt(problem.dim)
 
     def _noise(self, k: int) -> np.ndarray:
-        scale = self.schedule.level(k) / np.sqrt(self.problem.dim)
+        scale = self.schedule.level(k) / self._sqrt_dim
         return self._rng.standard_normal(self.problem.dim) * scale
 
     def query(self, x: np.ndarray, k: int, with_true: bool = False):

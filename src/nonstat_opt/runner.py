@@ -25,7 +25,7 @@ class RunRecord:
     seed: int
     horizon: int
     stepsizes: np.ndarray
-    suboptimality: np.ndarray | None = None
+    suboptimality: np.ndarray | None = None  # f(x_k) - f*, only if asked for
     grad_norm_sq: np.ndarray | None = None
     estimator_trace: np.ndarray | None = None
     squared_trace: bool = False
@@ -51,15 +51,19 @@ class WeightedIndexReservoir:
             self.index = index
 
 
-def _run(oracle, policy, averaged: bool) -> RunRecord:
+def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecord:
     """SGD x_{k+1} = x_k - eta_k g_k; paired policies step with the pair average.
 
     The problem, the horizon T (the schedule's length) and the seed are the
-    oracle's. Every run traces ||grad f(x_k)||^2. ``averaged`` selects the
-    output: the stepsize-weighted average of the query points x_1..x_T with
-    an f(x_k) trace, or a stepsize-weighted random index with eta_k <=
-    1/(2L) enforced. eta_k is fixed before g_k is drawn. Overflow is
-    reported by the finiteness check, not by numpy warnings.
+    oracle's. Every run traces ||grad f(x_k)||^2 (the non-convex output and
+    the numerator of ``run``'s printed noise ratio) and, with an estimator,
+    the estimator's value (read by the ``regret`` column). ``averaged``
+    selects the output: the stepsize-weighted average of the query points
+    x_1..x_T, or a stepsize-weighted random index with eta_k <= 1/(2L)
+    enforced. ``trace_values`` adds the f(x_k) - f* trace of an averaged run,
+    one value() call per iteration; only ``run``'s trajectory file reads it.
+    eta_k is fixed before g_k is drawn. Overflow is reported by the
+    finiteness check, not by numpy warnings.
     """
     problem, T, seed = oracle.problem, oracle.schedule.horizon, oracle.seed
     grad_sq = np.zeros(T)
@@ -70,7 +74,8 @@ def _run(oracle, policy, averaged: bool) -> RunRecord:
         record.estimator_trace = np.zeros(T)
     x = problem.start.astype(float).copy()
     if averaged:
-        record.suboptimality = np.zeros(T)
+        if trace_values:
+            record.suboptimality = np.zeros(T)
         xbar_acc = np.zeros_like(x)
         eta_sum = 0.0
     else:
@@ -86,8 +91,9 @@ def _run(oracle, policy, averaged: bool) -> RunRecord:
             record.stepsizes[k - 1] = eta
             if record.estimator_trace is not None:
                 record.estimator_trace[k - 1] = policy.estimator.value
-            if averaged:
+            if record.suboptimality is not None:
                 record.suboptimality[k - 1] = problem.value(x) - problem.f_star
+            if averaged:
                 xbar_acc += eta * x
                 eta_sum += eta
             else:
@@ -101,7 +107,7 @@ def _run(oracle, policy, averaged: bool) -> RunRecord:
                 policy.observe(g)
             grad_sq[k - 1] = true_grad @ true_grad
             x = x - eta * g
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 record.failed = True
                 record.failure_reason = f"aborted at iteration {k}: iterate overflow or NaN"
                 record.oracle_queries = oracle.query_count
@@ -116,11 +122,12 @@ def _run(oracle, policy, averaged: bool) -> RunRecord:
     return record
 
 
-def run_convex(oracle, policy) -> RunRecord:
-    """SGD with output x_bar = sum(eta x)/sum(eta) over the query points x_1..x_T."""
+def run_convex(oracle, policy, trace_values: bool = False) -> RunRecord:
+    """SGD with output x_bar = sum(eta x)/sum(eta) over the query points x_1..x_T;
+    ``trace_values`` also records f(x_k) - f* at every iteration."""
     if not oracle.problem.convex:
         raise ValueError("run_convex needs a convex problem")
-    return _run(oracle, policy, True)
+    return _run(oracle, policy, True, trace_values)
 
 
 def run_nonconvex(oracle, policy) -> RunRecord:
@@ -133,13 +140,14 @@ def run_nonconvex(oracle, policy) -> RunRecord:
     return _run(oracle, policy, False)
 
 
-def run_variance_adaptive(oracle, policy) -> RunRecord:
+def run_variance_adaptive(oracle, policy, trace_values: bool = False) -> RunRecord:
     """Paired-sample run: step with the pair average, estimate the variance
     from the pair difference. Convex problems report the weighted-average
-    output; others report a stepsize-weighted random iterate."""
+    output, with the f(x_k) - f* trace if ``trace_values``; others report a
+    stepsize-weighted random iterate."""
     if not policy.uses_pairs:
         raise ValueError("run_variance_adaptive needs a paired policy")
-    return _run(oracle, policy, oracle.problem.convex)
+    return _run(oracle, policy, oracle.problem.convex, trace_values)
 
 
 def run_estimation_only(oracle, x: np.ndarray, estimator) -> np.ndarray:

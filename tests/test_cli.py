@@ -270,6 +270,27 @@ class TestRunMode:
         assert k == "1" and float(eta) > 0 and float(level) > 0
         assert float(est) >= 0
 
+    # sha256 of the trajectory file of one convex adaptive run, recorded while
+    # every convex run still traced f(x_k); column 3 is that trace.
+    GOLDEN_TRAJECTORY = ("25c343b2456826c7f9242f7e9feafe52"
+                         "b385f0b1fa2187751ce6f1a91c3008ad")
+
+    def test_golden_trajectory_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, policies=["adaptive"], T=[200], seeds=[3])
+        assert main(["run", "--config", str(cfg)]) == 0
+        data = next((tmp_path / "out").glob("trajectory_*.csv")).read_bytes()
+        assert len(data.splitlines()) == 1 + 200
+        assert hashlib.sha256(data).hexdigest() == self.GOLDEN_TRAJECTORY
+
+    def test_untraced_averaged_run_has_no_trajectory(self, tmp_path):
+        """A convex sweep cell skips the f(x) trace that column 3 needs: writing
+        its trajectory is an error, not the gradient trace under that name."""
+        cfg = ExperimentConfig.parse({"T": [20]})
+        row, record, schedule = execute_run(cfg, build_problem(cfg), "constant", 20,
+                                            0.5, 0)
+        with pytest.raises(ValueError, match="trace_values=True"):
+            cli.write_trajectory_csv(record, schedule, row.config_hash, tmp_path)
+
     def test_baseline_trajectory_has_nan_estimator_column(self, tmp_path):
         cfg = write_config(tmp_path, policies=["constant"], seeds=[0])
         main(["run", "--config", str(cfg)])
@@ -453,6 +474,35 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {key}: "), captured.err
         assert not captured.out and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("verify", {"T": [50, 50]}, ["--suite", "jensen"]),
+        ("schedule-dump", {"policies": ["nope"]}, ["--T", "10", "--alpha", "0.3"]),
+    ], ids=["verify-repeated-T", "dump-bad-policy"])
+    def test_command_ignores_config_keys_it_does_not_read(self, tmp_path, capsys,
+                                                          command, config, flags):
+        """verify reads only out, schedule-dump only schedule, T and alpha; a
+        bad value of another key does not fail them (both exited 2)."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "out"), **config}),
+                        encoding="utf-8")
+        assert main([command, "--config", str(path), *flags]) == 0
+        assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, flags, key", [
+        ("verify", {"out": 5}, ["--suite", "jensen"], "out"),
+        ("schedule-dump", {"schedule": {"kind": "nope"}}, [], "schedule.kind"),
+        ("schedule-dump", {"T": [50, 50]}, [], "T"),
+        ("verify", {"seed": 3}, ["--suite", "jensen"], "seed"),
+    ], ids=["verify-out-number", "dump-bad-kind", "dump-repeated-T",
+            "verify-unknown-key"])
+    def test_bad_key_a_command_reads_still_fails(self, tmp_path, capsys, command,
+                                                 config, flags, key):
+        """A bad value of a key the command reads, or a key outside SCHEMA, is exit 2."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, "--config", str(path), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     def test_flag_and_json_key_are_one_value(self, tmp_path):
         """A list key takes a comma string, a number a numeric string, and a

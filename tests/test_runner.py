@@ -13,6 +13,7 @@ from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, PairedAdaptiveStep,
                          run_convex, run_estimation_only, run_nonconvex,
                          run_variance_adaptive)
 from nonstat_opt.policy import POLICIES
+from nonstat_opt.problems import Quadratic
 
 
 @pytest.fixture()
@@ -74,7 +75,7 @@ class TestConvexRun:
         T = 60
         sched = NoiseSchedule.constant(0.0, T)
         oracle = Oracle(quad, sched, seed=0)
-        rec = run_convex(oracle, FixedStep(0.9 / quad.L))
+        rec = run_convex(oracle, FixedStep(0.9 / quad.L), trace_values=True)
         assert not rec.failed
         assert np.all(np.diff(rec.suboptimality) <= 1e-15)
 
@@ -100,7 +101,8 @@ class TestConvexRun:
         T = 40
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
         oracle = Oracle(quad, sched, seed=6)
-        rec = run_convex(oracle, constant_baseline(quad.radius, sched))
+        rec = run_convex(oracle, constant_baseline(quad.radius, sched),
+                         trace_values=True)
         assert rec.stepsizes.size == rec.suboptimality.size == T
         assert rec.oracle_queries == T
         assert rec.estimator_trace is None
@@ -132,7 +134,7 @@ class TestConvexRun:
             oracle = Oracle(quad, sched, seed=9)
             with pytest.warns(RuntimeWarning):
                 pol = make_adaptive(quad.radius, 1.0, T)
-            recs.append(run_convex(oracle, pol))
+            recs.append(run_convex(oracle, pol, trace_values=True))
         a, b = recs
         assert np.array_equal(a.stepsizes, b.stepsizes)
         assert np.array_equal(a.suboptimality, b.suboptimality)
@@ -224,13 +226,56 @@ def test_one_loop_contract(kind, name):
         assert rec.stepsizes.max() <= 1.0 / (2.0 * problem.L)
 
 
+class ValueCounter(Quadratic):
+    """The same quadratic, counting its value() calls in ``value_calls``."""
+
+    def __init__(self, quad):
+        super().__init__(quad.A, quad.b, quad.x_star, quad.start)
+        self.value_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return super().value(x)
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_value_trace_is_opt_in(quad, name):
+    """Without the trace a convex run calls value() a fixed number of times,
+    whatever T; with it, once more per iteration, and every other output keeps
+    its bits."""
+    problem = ValueCounter(quad)
+    build, _ = POLICIES[name]
+    calls, records = {}, {}
+    for T in (20, 80):
+        sched = NoiseSchedule.piecewise_linear(T, 0.3)
+        for trace_values in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                policy = build(problem, sched, {})
+            runner = run_variance_adaptive if policy.uses_pairs else run_convex
+            problem.value_calls = 0
+            rec = runner(Oracle(problem, sched, seed=5), policy,
+                         trace_values=trace_values)
+            calls[T, trace_values] = problem.value_calls
+            records[T, trace_values] = rec
+            assert (rec.suboptimality is None) != trace_values
+    assert calls[20, False] == calls[80, False] == 1  # f(x_bar) alone
+    assert [calls[T, True] - calls[T, False] for T in (20, 80)] == [20, 80]
+    for T in (20, 80):
+        plain, traced = records[T, False], records[T, True]
+        assert plain.stepsizes.tobytes() == traced.stepsizes.tobytes()
+        assert plain.x_bar.tobytes() == traced.x_bar.tobytes()
+        assert np.float64(plain.final_metric).tobytes() == \
+            np.float64(traced.final_metric).tobytes()
+
+
 class TestVarianceAdaptiveRun:
     def test_zero_noise_reduces_to_plain_descent(self, quad):
         T = 40
         sched = NoiseSchedule.constant(0.0, T)
         oracle = Oracle(quad, sched, seed=2)
         pol = make_variance_adaptive(quad, 1.0, T)
-        rec = run_variance_adaptive(oracle, pol)
+        rec = run_variance_adaptive(oracle, pol, trace_values=True)
         assert not rec.failed
         # sigma_hat stays zero, so every step equals c / m
         assert np.all(rec.stepsizes == pol.c / pol.m)
