@@ -171,7 +171,13 @@ class ExperimentConfig(SimpleNamespace):
                 target = raw.setdefault(section, {}) if section else raw
                 if isinstance(target, dict):  # parse() rejects anything else
                     target[name] = value
-        return cls.parse(raw, timings=given.get("timings", False))
+        cfg = cls.parse(raw, timings=given.get("timings", False))
+        # checked before any run, since the output is written after all of them
+        out = Path(cfg.out)
+        taken = next(path for path in (out, *out.parents) if path.exists())
+        if "out" in keys and not taken.is_dir():
+            raise ConfigError(f"out: {taken} exists and is not a directory")
+        return cfg
 
     @classmethod
     def parse(cls, raw, timings: bool = False) -> "ExperimentConfig":

@@ -8,7 +8,7 @@ acceptance test module, so the tested tolerances live in exactly one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -31,7 +31,7 @@ class CriterionResult:
     measured: float
     bound: float
     comparator: str
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def describe(self) -> str:
         state = "PASS" if self.passed else "FAIL"
@@ -51,21 +51,27 @@ class SuiteResult:
     def to_dict(self) -> dict:
         # bool()/float() strip any numpy scalars so the report stays
         # JSON-serializable regardless of how a suite computed its values
-        return {
-            "suite": self.suite,
-            "passed": bool(self.passed),
-            "criteria": [
-                {
-                    "name": c.name,
-                    "passed": bool(c.passed),
-                    "measured": float(c.measured),
-                    "bound": float(c.bound),
-                    "comparator": c.comparator,
-                    "details": c.details,
-                }
-                for c in self.criteria
-            ],
-        }
+        return {"suite": self.suite, "passed": bool(self.passed), "criteria": [
+            {**asdict(c), "passed": bool(c.passed), "measured": float(c.measured),
+             "bound": float(c.bound)} for c in self.criteria]}
+
+
+# Every criterion is built by one of these: each writes its comparator and
+# derives the verdict from it, so a NaN measurement always fails. The leading
+# parameters are positional-only because some details carry a "bound" key.
+
+def _at_most(name, measured, bound, /, **details) -> CriterionResult:
+    return CriterionResult(name, measured <= bound, measured, bound, "<=", details)
+
+
+def _at_least(name, measured, bound, /, **details) -> CriterionResult:
+    return CriterionResult(name, measured >= bound, measured, bound, ">=", details)
+
+
+def _within(name, measured, low, high, target, /, **details) -> CriterionResult:
+    """measured in [low, high]; the report's bound is the window's target."""
+    return CriterionResult(name, low <= measured <= high, measured, target,
+                           f"in [{low:.2f}, {high:.2f}]", details)
 
 
 def _reference_quadratic(radius: float = 1.0):
@@ -102,38 +108,41 @@ def _finals(problem, schedule, name, seeds, overrides=None):
     return np.array(finals), policy, bound_at
 
 
+def _median(problem, schedule, name, seeds, overrides=None) -> float:
+    """The median final metric over the seeds, a failed run's counted as inf."""
+    return float(np.median(_finals(problem, schedule, name, seeds, overrides)[0]))
+
+
+def _mean_under_bound(name, problem, schedule, method, seeds, slack, /, **details):
+    """Mean final metric over the seeds at most slack x the method's bound at C = 32."""
+    finals, _, bound_at = _finals(problem, schedule, method, seeds)
+    bound = bound_at(32.0)
+    return _at_most(name, float(np.mean(finals)), slack * bound, bound=bound,
+                    seeds=len(seeds), **details)
+
+
 # -- suites ------------------------------------------------------------------
 
 def suite_jensen() -> SuiteResult:
     """Idealized rate never exceeds the constant rate; equality only when flat."""
+    def bounds(sched):  # (constant, idealized) rate bounds at radius 1
+        return analysis.bound_constant(1.0, sched), analysis.bound_idealized(1.0, sched)
+
     rng = np.random.default_rng(2024)
-    radius = 1.0
-    worst_gap = -math.inf
-    strict_ok = True
-    for _ in range(100):
-        T = int(rng.integers(2, 400))
-        levels = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=T))
-        sched = NoiseSchedule.custom(levels)
-        bc = analysis.bound_constant(radius, sched)
-        bi = analysis.bound_idealized(radius, sched)
-        worst_gap = max(worst_gap, (bi - bc) / bc)
-        strict_ok &= bi < bc  # spread levels, strict inequality expected
-    for alpha in (0.0, 0.05, 0.3):
-        sched = NoiseSchedule.piecewise_linear(1000, alpha)
-        bc = analysis.bound_constant(radius, sched)
-        bi = analysis.bound_idealized(radius, sched)
-        worst_gap = max(worst_gap, (bi - bc) / bc)
-    flat = NoiseSchedule.constant(2.0, 50)
-    eq_gap = abs(analysis.bound_idealized(radius, flat)
-                 - analysis.bound_constant(radius, flat))
-    crits = (
-        CriterionResult("idealized-below-constant", worst_gap <= 1e-12,
-                        worst_gap, 1e-12, "<=",
-                        {"schedules": 103}),
-        CriterionResult("strict-on-nonconstant", strict_ok, float(strict_ok), 1.0, ">="),
-        CriterionResult("equality-on-constant", eq_gap <= 1e-12, eq_gap, 1e-12, "<="),
-    )
-    return SuiteResult("jensen", crits)
+    spread = [bounds(NoiseSchedule.custom(np.exp(rng.uniform(
+        np.log(1e-3), np.log(1e3), size=int(rng.integers(2, 400))))))
+        for _ in range(100)]
+    ramps = [bounds(NoiseSchedule.piecewise_linear(1000, alpha))
+             for alpha in (0.0, 0.05, 0.3)]
+    # spread levels, so the inequality is expected to be strict
+    strict_ok = all(bi < bc for bc, bi in spread)
+    flat_c, flat_i = bounds(NoiseSchedule.constant(2.0, 50))
+    return SuiteResult("jensen", (
+        _at_most("idealized-below-constant",
+                 max((bi - bc) / bc for bc, bi in spread + ramps), 1e-12,
+                 schedules=len(spread + ramps)),
+        _at_least("strict-on-nonconstant", float(strict_ok), 1.0),
+        _at_most("equality-on-constant", abs(flat_i - flat_c), 1e-12)))
 
 
 def suite_regret() -> SuiteResult:
@@ -156,11 +165,10 @@ def suite_regret() -> SuiteResult:
             oracle = Oracle(problem, sched, seed=seed)
             trace = run_estimation_only(oracle, problem.x_star, SecondMomentEMA(beta))
             regrets.append(regret(trace, targets))
-        cap = regret_bound(max_level=1.0, variation_sq=4.0, horizon=T)
-        mean_regret = float(np.mean(regrets))
-        crits.append(CriterionResult(
-            f"regret-T{T}", mean_regret <= cap, mean_regret, cap, "<=",
-            {"beta": beta, "seeds": len(seeds), "alpha": alpha}))
+        crits.append(_at_most(
+            f"regret-T{T}", float(np.mean(regrets)),
+            regret_bound(max_level=1.0, variation_sq=4.0, horizon=T),
+            beta=beta, seeds=len(seeds), alpha=alpha))
     return SuiteResult("regret", tuple(crits))
 
 
@@ -173,12 +181,9 @@ def suite_rates() -> SuiteResult:
     horizons = (1_000, 3_000, 10_000, 30_000, 100_000)
     seeds = range(15)
     alpha = 0.25
-    medians: dict[str, list] = {"constant": [], "idealized": [], "adaptive": []}
-    for T in horizons:
-        sched = NoiseSchedule.piecewise_linear(T, alpha)
-        for name in medians:
-            finals, _, _ = _finals(problem, sched, name, seeds)
-            medians[name].append((T, float(np.median(finals))))
+    scheds = [NoiseSchedule.piecewise_linear(T, alpha) for T in horizons]
+    medians = {name: [(s.horizon, _median(problem, s, name, seeds)) for s in scheds]
+               for name in ("constant", "idealized", "adaptive")}
     fits = {name: analysis.fit_slope(pts) for name, pts in medians.items()}
     sep = fits["constant"].slope - fits["adaptive"].slope
     # Largest measured speedup over the constant baseline across the grid,
@@ -186,22 +191,15 @@ def suite_rates() -> SuiteResult:
     improvement = max(
         math.log(c_med / a_med) / math.log(T)
         for (T, c_med), (_, a_med) in zip(medians["constant"], medians["adaptive"]))
-    crits = (
-        CriterionResult("constant-slope", -0.60 <= fits["constant"].slope <= -0.40,
-                        fits["constant"].slope, -0.5, "in [-0.60, -0.40]",
-                        {"r_squared": fits["constant"].r_squared,
-                         "medians": medians["constant"]}),
-        CriterionResult("idealized-slope", -0.85 <= fits["idealized"].slope <= -0.65,
-                        fits["idealized"].slope, -0.75, "in [-0.85, -0.65]",
-                        {"r_squared": fits["idealized"].r_squared,
-                         "medians": medians["idealized"]}),
-        CriterionResult("adaptive-steeper-than-constant", sep >= 0.08, sep, 0.08, ">=",
-                        {"adaptive_slope": fits["adaptive"].slope,
-                         "r_squared": fits["adaptive"].r_squared,
-                         "medians": medians["adaptive"],
-                         "max_improvement_exponent": improvement}),
-    )
-    return SuiteResult("rates", crits)
+    return SuiteResult("rates", (
+        _within("constant-slope", fits["constant"].slope, -0.60, -0.40, -0.5,
+                r_squared=fits["constant"].r_squared, medians=medians["constant"]),
+        _within("idealized-slope", fits["idealized"].slope, -0.85, -0.65, -0.75,
+                r_squared=fits["idealized"].r_squared, medians=medians["idealized"]),
+        _at_least("adaptive-steeper-than-constant", sep, 0.08,
+                  adaptive_slope=fits["adaptive"].slope,
+                  r_squared=fits["adaptive"].r_squared, medians=medians["adaptive"],
+                  max_improvement_exponent=improvement)))
 
 
 def suite_theorem1() -> SuiteResult:
@@ -209,17 +207,12 @@ def suite_theorem1() -> SuiteResult:
     problem = _reference_quadratic()
     T = 10_000
     seeds = range(30)
-    crits = []
-    for sched_name, sched in (("flat", NoiseSchedule.constant(1.0, T)),
-                              ("ramp", NoiseSchedule.piecewise_linear(T, 0.25))):
-        for pol_name in ("constant", "idealized"):
-            finals, _, bound_at = _finals(problem, sched, pol_name, seeds)
-            bound = bound_at(32.0)
-            mean = float(np.mean(finals))
-            crits.append(CriterionResult(
-                f"{pol_name}-on-{sched_name}", mean <= 1.1 * bound, mean,
-                1.1 * bound, "<=", {"bound": bound, "seeds": len(seeds)}))
-    return SuiteResult("theorem1", tuple(crits))
+    return SuiteResult("theorem1", tuple(
+        _mean_under_bound(f"{pol_name}-on-{sched_name}", problem, sched, pol_name,
+                          seeds, 1.1)
+        for sched_name, sched in (("flat", NoiseSchedule.constant(1.0, T)),
+                                  ("ramp", NoiseSchedule.piecewise_linear(T, 0.25)))
+        for pol_name in ("constant", "idealized")))
 
 
 def suite_theorem2() -> SuiteResult:
@@ -232,15 +225,13 @@ def suite_theorem2() -> SuiteResult:
     for m_coeff in (2.0, 8.0):
         finals, policy, bound_at = _finals(problem, sched, "adaptive", seeds,
                                            {"m_coeff": m_coeff})
-        bound_proved = bound_at(32.0)
-        bound_stated = bound_at(4.0)
-        frac32 = float(np.mean(finals <= bound_proved))
-        frac4 = float(np.mean(finals <= bound_stated))
-        crits.append(CriterionResult(
-            f"half-under-bound-mcoeff{m_coeff:g}", frac32 >= 0.5, frac32, 0.5, ">=",
-            {"bound_constant_32": bound_proved, "bound_constant_4": bound_stated,
-             "fraction_under_4_constant": frac4, "m": policy.m,
-             "median_final": float(np.median(finals))}))
+        bound_proved, bound_stated = bound_at(32.0), bound_at(4.0)
+        crits.append(_at_least(
+            f"half-under-bound-mcoeff{m_coeff:g}",
+            float(np.mean(finals <= bound_proved)), 0.5,
+            bound_constant_32=bound_proved, bound_constant_4=bound_stated,
+            fraction_under_4_constant=float(np.mean(finals <= bound_stated)),
+            m=policy.m, median_final=float(np.median(finals))))
     return SuiteResult("theorem2", tuple(crits))
 
 
@@ -251,14 +242,11 @@ def suite_adversarial() -> SuiteResult:
     alpha = 0.3
     sched = NoiseSchedule.adversarial_spike(T, alpha)
     seeds = range(15)
-    med_adaptive = float(np.median(_finals(problem, sched, "adaptive", seeds)[0]))
-    med_constant = float(np.median(_finals(problem, sched, "constant", seeds)[0]))
-    ratio = med_adaptive / med_constant
-    crit = CriterionResult(
-        "adaptive-slower-by-1.5x", ratio >= 1.5, ratio, 1.5, ">=",
-        {"median_adaptive": med_adaptive, "median_constant": med_constant,
-         "alpha": alpha})
-    return SuiteResult("adversarial", (crit,))
+    med_adaptive = _median(problem, sched, "adaptive", seeds)
+    med_constant = _median(problem, sched, "constant", seeds)
+    return SuiteResult("adversarial", (_at_least(
+        "adaptive-slower-by-1.5x", med_adaptive / med_constant, 1.5,
+        median_adaptive=med_adaptive, median_constant=med_constant, alpha=alpha),))
 
 
 def suite_nonconvex() -> SuiteResult:
@@ -268,28 +256,21 @@ def suite_nonconvex() -> SuiteResult:
     sched = NoiseSchedule.piecewise_linear(T, 0.3)
     delta = problem.initial_gap()
     seeds = range(30)
-    crits = []
-    for pol_name in ("constant", "idealized"):
-        finals, _, bound_at = _finals(problem, sched, pol_name, seeds)
-        bound = bound_at(32.0)
-        mean = float(np.mean(finals))
-        crits.append(CriterionResult(
-            f"{pol_name}-stationarity", mean <= 1.2 * bound, mean, 1.2 * bound,
-            "<=", {"bound": bound, "delta": delta, "seeds": len(seeds)}))
-    cap = 1.0 / (2.0 * problem.L)
     worst = max(float(rec.stepsizes.max()) for _, rec in _run_seeds(
         problem, sched, "variance_adaptive", seeds))
-    crits.append(CriterionResult(
-        "paired-stepsize-cap", worst <= cap, worst, cap, "<=",
-        {"enforced": "on every iteration of every run"}))
-    return SuiteResult("nonconvex", tuple(crits))
+    return SuiteResult("nonconvex", (
+        *(_mean_under_bound(f"{pol_name}-stationarity", problem, sched, pol_name,
+                            seeds, 1.2, delta=delta)
+          for pol_name in ("constant", "idealized")),
+        _at_most("paired-stepsize-cap", worst, 1.0 / (2.0 * problem.L),
+                 enforced="on every iteration of every run")))
 
 
 def _tuned_median(problem, sched, method, seeds):
     """Grid search the stepsize scale over powers of ten; smaller wins ties."""
     best_c, best_med = None, math.inf
     for c in TUNING_GRID:
-        med = float(np.median(_finals(problem, sched, method, seeds, {"c": c})[0]))
+        med = _median(problem, sched, method, seeds, {"c": c})
         if med < best_med:
             best_c, best_med = c, med
     return best_c, best_med
@@ -312,14 +293,11 @@ def suite_ordering() -> SuiteResult:
     pairs = (("idealized", "variance_adaptive"),
              ("variance_adaptive", "adaptive"),
              ("adaptive", "constant"))
-    crits = []
-    for lo, hi in pairs:
-        ok = med[lo] <= med[hi] * (1.0 + delta)
-        crits.append(CriterionResult(
-            f"{lo}<={hi}", ok, med[lo], med[hi] * (1.0 + delta), "<=",
-            {"tuned_c": {name: tuned[name][0] for name in (lo, hi)},
-             "medians": {name: med[name] for name in (lo, hi)}}))
-    return SuiteResult("ordering", tuple(crits))
+    return SuiteResult("ordering", tuple(
+        _at_most(f"{lo}<={hi}", med[lo], med[hi] * (1.0 + delta),
+                 tuned_c={name: tuned[name][0] for name in (lo, hi)},
+                 medians={name: med[name] for name in (lo, hi)})
+        for lo, hi in pairs))
 
 
 SUITES = {

@@ -1,8 +1,10 @@
 import argparse
+import ctypes
 import hashlib
 import itertools
 import json
 import os
+import platform
 import re
 import warnings
 from pathlib import Path
@@ -16,6 +18,34 @@ from nonstat_opt.cli import (CSV_HEADER, SCHEMA, TRAJECTORY_HEADER,
                              ExperimentConfig, build_parser, build_problem,
                              execute_run, main)
 from nonstat_opt.policy import POLICIES
+
+# The byte goldens below were recorded on this platform. Another BLAS kernel may
+# round a last digit differently: the SSE-only Nehalem kernel moves one
+# spike_roots row by 4e-12, which is not a change of the program.
+RECORDED_ON = ("scipy-openblas 0.3.31 (DYNAMIC_ARCH, AVX2/AVX-512 kernel), "
+               "numpy 2.4.6, Python 3.11.7")
+
+
+def running_platform() -> str:
+    """numpy's BLAS build, the kernel OpenBLAS chose at run time, numpy and Python."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    built = blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"
+    try:  # show_config states the build machine's core, not the running one
+        lib = ctypes.CDLL(next((Path(np.__file__).parent.parent / "numpy.libs")
+                               .glob("libscipy_openblas*")))
+        corename = lib.scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = corename().decode()
+    except (StopIteration, OSError, AttributeError):
+        kernel = "unknown"
+    return (f"BLAS build {built.strip()!r}, running kernel {kernel}, "
+            f"numpy {np.__version__}, Python {platform.python_version()}")
+
+
+def assert_golden_bytes(data: bytes, digest: str):
+    actual = hashlib.sha256(data).hexdigest()
+    assert actual == digest, (f"sha256 {actual}, golden {digest}; recorded on "
+                              f"{RECORDED_ON}, running on {running_platform()}")
 
 
 def write_config(tmp_path, **overrides):
@@ -253,7 +283,7 @@ class TestSweep:
         data = (tmp_path / "out" / "results.csv").read_bytes()
         assert len(data.splitlines()) == 1 + 7 * 2 * 2 * 2
         assert b"nan" not in data
-        assert hashlib.sha256(data).hexdigest() == digest
+        assert_golden_bytes(data, digest)
 
 
 class TestRunMode:
@@ -280,7 +310,7 @@ class TestRunMode:
         assert main(["run", "--config", str(cfg)]) == 0
         data = next((tmp_path / "out").glob("trajectory_*.csv")).read_bytes()
         assert len(data.splitlines()) == 1 + 200
-        assert hashlib.sha256(data).hexdigest() == self.GOLDEN_TRAJECTORY
+        assert_golden_bytes(data, self.GOLDEN_TRAJECTORY)
 
     def test_untraced_averaged_run_has_no_trajectory(self, tmp_path):
         """A convex sweep cell skips the f(x) trace that column 3 needs: writing
@@ -341,6 +371,20 @@ class TestVerifyCommand:
         for crit in report["regret"]["criteria"]:
             assert isinstance(crit["measured"], float)
 
+    # sha256 of verify_report.json, recorded while each criterion still computed
+    # its own verdict beside the comparator it reports.
+    GOLDEN_REPORTS = {
+        "jensen": "5dd553cd9e3f4cbc3cc9dae9df5fa1cbfec9545a532a83c7039410390d5a53ab",
+        "regret": "4c60fe0a99cd2b50f908c87ca0c54e801410383fce56cfbd2c89f26ef2465503",
+    }
+
+    @pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS))
+    def test_golden_report_bytes(self, tmp_path, suite):
+        out = tmp_path / "v"
+        assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+        assert_golden_bytes((out / "verify_report.json").read_bytes(),
+                            self.GOLDEN_REPORTS[suite])
+
     def test_failed_run_counts_as_inf(self):
         """A diverging run is infinitely bad in every suite's seed helper."""
         problem = build_problem(ExperimentConfig.parse({"problem": {"dim": 5, "n": 10}}))
@@ -351,6 +395,40 @@ class TestVerifyCommand:
                                                {"c": 1e200})
         assert policy.c == 1e200
         assert finals.tolist() == [np.inf, np.inf]
+
+
+class TestCriterionConstructors:
+    """A verify criterion's verdict is the comparison it reports."""
+
+    def test_equality_and_window_endpoints_pass(self):
+        assert verify._at_most("c", 2.0, 2.0).passed
+        assert not verify._at_most("c", 2.5, 2.0).passed
+        assert verify._at_least("c", 2.0, 2.0).passed
+        assert not verify._at_least("c", 1.5, 2.0).passed
+        assert verify._within("c", -0.60, -0.60, -0.40, -0.5).passed
+        assert verify._within("c", -0.40, -0.60, -0.40, -0.5).passed
+        assert not verify._within("c", -0.39, -0.60, -0.40, -0.5).passed
+
+    def test_nan_fails_every_comparison(self):
+        for crit in (verify._at_most("c", np.nan, 1.0),
+                     verify._at_least("c", np.nan, 1.0),
+                     verify._within("c", np.nan, -0.60, -0.40, -0.5)):
+            assert not crit.passed
+            assert crit.describe().startswith("FAIL c: measured nan ")
+
+    def test_window_comparator_and_target(self):
+        crit = verify._within("c", -0.5, -0.60, -0.40, -0.5)
+        assert (crit.comparator, crit.bound) == ("in [-0.60, -0.40]", -0.5)
+        assert verify._within("c", -0.7, -0.85, -0.65, -0.75).comparator == \
+            "in [-0.85, -0.65]"
+
+    def test_details_reach_the_report_as_plain_values(self):
+        """A "bound" detail beside the criterion's own bound; numpy scalars coerced."""
+        crit = verify._at_most("c", np.float64(1.0), 2.0, bound=1.5, seeds=3)
+        entry = verify.SuiteResult("s", (crit,)).to_dict()["criteria"][0]
+        assert entry == {"name": "c", "passed": True, "measured": 1.0, "bound": 2.0,
+                         "comparator": "<=", "details": {"bound": 1.5, "seeds": 3}}
+        assert type(entry["passed"]) is bool and type(entry["measured"]) is float
 
 
 class TestScheduleDump:
@@ -376,6 +454,24 @@ class TestScheduleDump:
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("command, args", [
+        ("run", ["--T", "50"]), ("sweep", ["--T", "50"]),
+        ("verify", ["--suite", "jensen"])])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_on_an_existing_file_fails_before_any_run(
+            self, tmp_path, monkeypatch, capsys, command, args, out):
+        """The output is written after every run, so a file in its way is a
+        config error up front, not a traceback at the end."""
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n", encoding="utf-8")
+        calls = []
+        for name in ("execute_run", "run_suite"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+        assert main([command, *args, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "config error: out: afile exists and is not a directory\n"
+        assert not calls and Path("afile").read_text(encoding="utf-8") == "kept\n"
 
     def test_invalid_policy_rejected(self, tmp_path):
         cfg = write_config(tmp_path, policies=["sorcery"])
