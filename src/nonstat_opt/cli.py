@@ -272,13 +272,12 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
     from building, running or bounding the cell gives a failed record that
     keeps the queries already drawn.
     """
-    build, bound = POLICIES[name]
     bound_const = cfg.overrides.get("bound_const") or SCHEMA["overrides"]["bound_const"][1]
     schedule = oracle = None
     bound_value, regret_value = math.nan, None
     try:
         schedule = build_schedule(cfg, horizon, alpha)
-        policy = build(problem, schedule, cfg.overrides)
+        policy = POLICIES[name](problem, schedule, cfg.overrides)
         oracle = Oracle(problem, schedule, seed=seed)
         started = time.perf_counter()
         if policy.uses_pairs:
@@ -289,13 +288,11 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
             record = run_nonconvex(oracle, policy)
         elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
         if not record.failed:
-            bound_value = bound(problem, schedule, policy, record, float(bound_const))
+            bound_value = policy.bound(problem, schedule, record, float(bound_const))
             if record.squared_trace:
                 regret_value = analysis.regret_from_run(record, schedule)
     except ValueError as exc:
-        record = RunRecord(policy=name, seed=seed, horizon=horizon,
-                           stepsizes=np.zeros(0), failed=True,
-                           failure_reason=str(exc),
+        record = RunRecord(stepsizes=np.zeros(0), failed=True, failure_reason=str(exc),
                            oracle_queries=oracle.query_count if oracle else 0)
         bound_value, regret_value, elapsed_ms = math.nan, None, 0
     if record.failed:

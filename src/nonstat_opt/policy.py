@@ -63,7 +63,6 @@ def _positive_levels(schedule) -> np.ndarray:
 class StepPolicy:
     """Per-run stepsize source. Single consumer; never shared across runs."""
 
-    name: str = "policy"
     uses_pairs: bool = False
     estimator = None
 
@@ -76,13 +75,20 @@ class StepPolicy:
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         """Feed the gradient(s) realised at the current iteration."""
 
+    def bound(self, problem, schedule, record, bound_const: float) -> float:
+        """The weighted-SGD bound on the steps the run took; bound_const is unused."""
+        if problem.convex:
+            return analysis.suboptimality_bound(problem.radius, schedule,
+                                                record.stepsizes)
+        return analysis.stationarity_bound(problem.initial_gap(), problem.L,
+                                           schedule, record.stepsizes)
+
 
 class FixedStep(StepPolicy):
-    def __init__(self, eta: float, name: str = "constant"):
+    def __init__(self, eta: float):
         if not (eta > 0 and math.isfinite(eta)):
             raise ValueError(f"stepsize must be positive and finite, got {eta}")
         self.eta = float(eta)
-        self.name = name
 
     def stepsize(self, k: int) -> float:
         return self.eta
@@ -94,12 +100,11 @@ class ScheduledStep(StepPolicy):
     The sequence is validated once, here; ``stepsize(k)`` only indexes it.
     """
 
-    def __init__(self, etas, name: str = "idealized"):
+    def __init__(self, etas):
         etas = np.asarray(etas, dtype=float)
         if etas.ndim != 1 or not np.all(np.isfinite(etas) & (etas > 0)):
-            raise ValueError(f"{name} stepsizes must be positive and finite")
+            raise ValueError("stepsizes must be positive and finite")
         self._etas = etas.tolist()
-        self.name = name
 
     def stepsize(self, k: int) -> float:
         return self._etas[k - 1]
@@ -108,13 +113,12 @@ class ScheduledStep(StepPolicy):
 class AdaptiveStep(StepPolicy):
     """eta_k = c / (m_hat_k + m); the estimator's denominator(m) is m_hat_k + m."""
 
-    def __init__(self, c: float, m: float, estimator, name: str = "adaptive"):
+    def __init__(self, c: float, m: float, estimator):
         if c <= 0 or m < 0:
             raise ValueError("need c > 0 and m >= 0")
         self.c = float(c)
         self.m = float(m)
         self.estimator = estimator
-        self.name = name
 
     def _step(self) -> float:
         denom = self.estimator.denominator(self.m)
@@ -132,6 +136,14 @@ class AdaptiveStep(StepPolicy):
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         self.estimator.update(g)
 
+    def bound(self, problem, schedule, record, bound_const: float) -> float:
+        """The rate bound at this policy's correction m, whatever steps it took."""
+        if problem.convex:
+            return analysis.adaptive_bound(problem.radius, schedule, self.m,
+                                           bound_const)
+        return analysis.adaptive_stationarity_bound(
+            problem.initial_gap(), problem.L, schedule, self.m, bound_const)
+
 
 # perfbench/tracer.py times ``stepsize``, ``init`` and ``observe`` as found in
 # each policy class's own __dict__, so this class defines all three itself.
@@ -144,11 +156,10 @@ class PairedAdaptiveStep(AdaptiveStep):
 
     uses_pairs = True
 
-    def __init__(self, c: float, m: float, estimator: VarianceEMA,
-                 name: str = "variance_adaptive"):
+    def __init__(self, c: float, m: float, estimator: VarianceEMA):
         if m <= 0:
             raise ValueError("need c > 0 and m > 0")
-        super().__init__(c, m, estimator, name)
+        super().__init__(c, m, estimator)
 
     def init(self, oracle, x1: np.ndarray) -> None:
         g, g2 = oracle.query_pair(x1, 1)
@@ -167,20 +178,20 @@ def constant_baseline(radius: float, schedule) -> FixedStep:
     """Single step R / sqrt(sum_k level(k)^2), tuned to the whole horizon."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    return FixedStep(radius / math.sqrt(_noise_energy(schedule)), name="constant")
+    return FixedStep(radius / math.sqrt(_noise_energy(schedule)))
 
 
 def idealized_baseline(radius: float, schedule) -> ScheduledStep:
     """Per-iteration steps R / (sqrt(T) * level_k), T the schedule's horizon."""
     steps = radius / (math.sqrt(schedule.horizon) * _positive_levels(schedule))
-    return ScheduledStep(steps, name="idealized")
+    return ScheduledStep(steps)
 
 
 def make_adaptive(radius: float, max_level: float, horizon: int,
                   m_coeff: float | None = None, c: float | None = None,
                   m: float | None = None, beta: float | None = None,
                   estimator: type = SecondMomentEMA, p: float | None = None,
-                  window: int | None = None, name: str = "adaptive") -> AdaptiveStep:
+                  window: int | None = None) -> AdaptiveStep:
     """Adaptive policy on an ``estimator`` class; a None parameter takes its default.
 
     c = R / sqrt(T), beta = 1 - 2 T^(-2/3), m = m_coeff * M * T^(-1/9) *
@@ -207,13 +218,12 @@ def make_adaptive(radius: float, max_level: float, horizon: int,
         est = PowerEMA(beta, 2.0 if p is None else p)
     else:
         est = estimator(beta)
-    return AdaptiveStep(c, m, est, name=name)
+    return AdaptiveStep(c, m, est)
 
 
 def make_variance_adaptive(problem, max_level: float, horizon: int,
                            c: float | None = None, m_coeff: float | None = None,
-                           beta: float | None = None,
-                           name: str = "variance_adaptive") -> PairedAdaptiveStep:
+                           beta: float | None = None) -> PairedAdaptiveStep:
     """Variance-adaptive policy; needs the problem's smoothness constant.
 
     Default c is R / sqrt(T) on convex problems and sqrt(2 delta / (L T)) on
@@ -230,7 +240,7 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
     m_base = variance_m_base(max_level, horizon, 8.0 if m_coeff is None else m_coeff)
     m = m_base + 2.0 * c * problem.L
     beta = default_beta(horizon) if beta is None else beta
-    return PairedAdaptiveStep(c, m, VarianceEMA(beta), name=name)
+    return PairedAdaptiveStep(c, m, VarianceEMA(beta))
 
 
 def _nonconvex_steps(problem, kind: str, total: float, levels=1.0):
@@ -253,25 +263,24 @@ def _nonconvex_steps(problem, kind: str, total: float, levels=1.0):
 def nonconvex_constant_baseline(problem, schedule) -> FixedStep:
     """eta = sqrt(2 delta / (L sum_k level_k^2)) at every k, clipped at 1/(2L)."""
     return FixedStep(float(_nonconvex_steps(problem, "constant",
-                                            _noise_energy(schedule))), name="constant")
+                                            _noise_energy(schedule))))
 
 
 def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
     """eta_k = sqrt(2 delta / (L T)) / level_k, clipped at 1/(2L)."""
     return ScheduledStep(_nonconvex_steps(problem, "idealized", schedule.horizon,
-                                          _positive_levels(schedule)), name="idealized")
+                                          _positive_levels(schedule)))
 
 
-# -- the policy table: name -> (build, bound) ---------------------------------
-# build(problem, schedule, overrides) honours overrides["c"] as the
-# step scale, a None override meaning unset; bound(problem, schedule, policy,
-# record, bound_const) gives a baseline the bound of the steps it took and an
-# adaptive rule its rate bound at the default scale. Both look factories and
-# analysis functions up by name on each call, so wrappers installed there see them.
+# -- the policy table: name -> build -------------------------------------------
+# build(problem, schedule, overrides) honours overrides["c"] as the step scale,
+# a None override meaning unset, and returns a policy that carries its bound.
+# Builders and bounds look factories and analysis functions up by name on each
+# call, so wrappers installed there see them.
 
 def _build_constant(problem, schedule, ov):
     if ov.get("c") is not None:
-        return FixedStep(ov["c"], name="constant")
+        return FixedStep(ov["c"])
     if problem.convex:
         return constant_baseline(problem.radius, schedule)
     return nonconvex_constant_baseline(problem, schedule)
@@ -279,18 +288,18 @@ def _build_constant(problem, schedule, ov):
 
 def _build_idealized(problem, schedule, ov):
     if ov.get("c") is not None:
-        return ScheduledStep(ov["c"] / schedule.levels(), name="idealized")
+        return ScheduledStep(ov["c"] / schedule.levels())
     if problem.convex:
         return idealized_baseline(problem.radius, schedule)
     return nonconvex_idealized_baseline(problem, schedule)
 
 
-def _build_adaptive(estimator, name, problem, schedule, ov):
+def _build_adaptive(estimator, problem, schedule, ov):
     return make_adaptive(problem.radius, schedule.max_level(), schedule.horizon,
                          m_coeff=ov.get("m_coeff"), c=ov.get("c"),
                          m=ov.get("m"), beta=ov.get("beta"),
                          estimator=estimator,
-                         p=ov.get("p"), window=ov.get("window"), name=name)
+                         p=ov.get("p"), window=ov.get("window"))
 
 
 def _build_variance_adaptive(problem, schedule, ov):
@@ -299,32 +308,12 @@ def _build_variance_adaptive(problem, schedule, ov):
                                   beta=ov.get("beta"))
 
 
-def _baseline_bound(problem, schedule, policy, record, bound_const):
-    """The weighted-SGD bound evaluated on the steps the run took."""
-    if problem.convex:
-        return analysis.suboptimality_bound(problem.radius, schedule,
-                                            record.stepsizes)
-    return analysis.stationarity_bound(problem.initial_gap(), problem.L,
-                                       schedule, record.stepsizes)
-
-
-def _adaptive_bound(problem, schedule, policy, record, bound_const):
-    if problem.convex:
-        return analysis.adaptive_bound(problem.radius, schedule, policy.m,
-                                       bound_const)
-    return analysis.adaptive_stationarity_bound(
-        problem.initial_gap(), problem.L, schedule, policy.m, bound_const)
-
-
 POLICIES = {
-    "constant": (_build_constant, _baseline_bound),
-    "idealized": (_build_idealized, _baseline_bound),
-    "adaptive": (partial(_build_adaptive, SecondMomentEMA, "adaptive"),
-                 _adaptive_bound),
-    "adaptive_first_moment": (
-        partial(_build_adaptive, FirstMomentEMA, "adaptive_first_moment"),
-        _adaptive_bound),
-    "pnorm": (partial(_build_adaptive, PowerEMA, "pnorm"), _adaptive_bound),
-    "window": (partial(_build_adaptive, WindowAverage, "window"), _adaptive_bound),
-    "variance_adaptive": (_build_variance_adaptive, _adaptive_bound),
+    "constant": _build_constant,
+    "idealized": _build_idealized,
+    "adaptive": partial(_build_adaptive, SecondMomentEMA),
+    "adaptive_first_moment": partial(_build_adaptive, FirstMomentEMA),
+    "pnorm": partial(_build_adaptive, PowerEMA),
+    "window": partial(_build_adaptive, WindowAverage),
+    "variance_adaptive": _build_variance_adaptive,
 }

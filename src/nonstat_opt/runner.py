@@ -21,9 +21,6 @@ _SAMPLER_SALT = 0x5E11  # decorrelates the index-sampling stream from the oracle
 class RunRecord:
     """Everything recorded about one optimization run."""
 
-    policy: str
-    seed: int
-    horizon: int
     stepsizes: np.ndarray
     suboptimality: np.ndarray | None = None  # f(x_k) - f*, only if asked for
     grad_norm_sq: np.ndarray | None = None
@@ -35,6 +32,10 @@ class RunRecord:
     oracle_queries: int = 0
     failed: bool = False
     failure_reason: str | None = None
+    # Set by no run; perfbench/test_perfbench.py::test_completed_iterations sets them.
+    policy: str | None = None
+    seed: int | None = None
+    horizon: int | None = None
 
 
 class WeightedIndexReservoir:
@@ -67,8 +68,7 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
     """
     problem, T, seed = oracle.problem, oracle.schedule.horizon, oracle.seed
     grad_sq = np.zeros(T)
-    record = RunRecord(policy=policy.name, seed=seed, horizon=T,
-                       stepsizes=np.zeros(T), grad_norm_sq=grad_sq,
+    record = RunRecord(stepsizes=np.zeros(T), grad_norm_sq=grad_sq,
                        squared_trace=isinstance(policy.estimator, SquaredNorms))
     if policy.estimator is not None:
         record.estimator_trace = np.zeros(T)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from . import analysis, policy as pol
 from .estimator import SecondMomentEMA, default_beta, regret, regret_bound
 from .oracle import Oracle
 from .problems import make_quadratic, make_smooth_nonconvex
-from .runner import (run_convex, run_estimation_only, run_nonconvex,
+from .runner import (RunRecord, run_convex, run_estimation_only, run_nonconvex,
                      run_variance_adaptive)
 from .schedule import NoiseSchedule
 
@@ -57,15 +56,17 @@ class SuiteResult:
 
 
 # Every criterion is built by one of these: each writes its comparator and
-# derives the verdict from it, so a NaN measurement always fails. The leading
-# parameters are positional-only because some details carry a "bound" key.
+# derives the verdict from it, so a NaN or infinite measurement always fails.
+# The leading parameters are positional-only: some details carry a "bound" key.
 
 def _at_most(name, measured, bound, /, **details) -> CriterionResult:
-    return CriterionResult(name, measured <= bound, measured, bound, "<=", details)
+    return CriterionResult(name, math.isfinite(measured) and measured <= bound,
+                           measured, bound, "<=", details)
 
 
 def _at_least(name, measured, bound, /, **details) -> CriterionResult:
-    return CriterionResult(name, measured >= bound, measured, bound, ">=", details)
+    return CriterionResult(name, math.isfinite(measured) and measured >= bound,
+                           measured, bound, ">=", details)
 
 
 def _within(name, measured, low, high, target, /, **details) -> CriterionResult:
@@ -83,29 +84,32 @@ def _reference_quadratic(radius: float = 1.0):
 
 def _run_seeds(problem, schedule, name, seeds, overrides=None):
     """Yield (policy, record) per seed, each run with its own oracle and policy;
-    records are not kept, so a suite holds one run's traces at a time."""
-    build, _ = pol.POLICIES[name]
+    a run that raises a ValueError gives a failed record, as in ``sweep``.
+    Records are not kept, so a suite holds one run's traces at a time."""
     for seed in seeds:
         oracle = Oracle(problem, schedule, seed=seed)
-        policy = build(problem, schedule, overrides or {})
+        policy = pol.POLICIES[name](problem, schedule, overrides or {})
         if policy.uses_pairs:
             runner = run_variance_adaptive
         elif problem.convex:
             runner = run_convex
         else:
             runner = run_nonconvex
-        yield policy, runner(oracle, policy)
+        try:
+            record = runner(oracle, policy)
+        except ValueError as exc:
+            record = RunRecord(stepsizes=np.zeros(0), failed=True, failure_reason=str(exc))
+        yield policy, record
 
 
 def _finals(problem, schedule, name, seeds, overrides=None):
-    """Each seed's final metric, a failed run's as inf, the last seed's policy,
-    and its bound as a function of the bound constant: the POLICIES bound that
+    """Each seed's final metric, a failed run's as inf, and the last seed's policy
+    and record: policy.bound(problem, schedule, record, C) is the bound that
     results.csv reports."""
     finals = []
     for policy, rec in _run_seeds(problem, schedule, name, seeds, overrides):
         finals.append(math.inf if rec.failed else rec.final_metric)
-    bound_at = partial(pol.POLICIES[name][1], problem, schedule, policy, rec)
-    return np.array(finals), policy, bound_at
+    return np.array(finals), policy, rec
 
 
 def _median(problem, schedule, name, seeds, overrides=None) -> float:
@@ -115,8 +119,8 @@ def _median(problem, schedule, name, seeds, overrides=None) -> float:
 
 def _mean_under_bound(name, problem, schedule, method, seeds, slack, /, **details):
     """Mean final metric over the seeds at most slack x the method's bound at C = 32."""
-    finals, _, bound_at = _finals(problem, schedule, method, seeds)
-    bound = bound_at(32.0)
+    finals, policy, rec = _finals(problem, schedule, method, seeds)
+    bound = policy.bound(problem, schedule, rec, 32.0)
     return _at_most(name, float(np.mean(finals)), slack * bound, bound=bound,
                     seeds=len(seeds), **details)
 
@@ -223,9 +227,10 @@ def suite_theorem2() -> SuiteResult:
     seeds = range(40)
     crits = []
     for m_coeff in (2.0, 8.0):
-        finals, policy, bound_at = _finals(problem, sched, "adaptive", seeds,
-                                           {"m_coeff": m_coeff})
-        bound_proved, bound_stated = bound_at(32.0), bound_at(4.0)
+        finals, policy, rec = _finals(problem, sched, "adaptive", seeds,
+                                      {"m_coeff": m_coeff})
+        bound_proved = policy.bound(problem, sched, rec, 32.0)
+        bound_stated = policy.bound(problem, sched, rec, 4.0)
         crits.append(_at_least(
             f"half-under-bound-mcoeff{m_coeff:g}",
             float(np.mean(finals <= bound_proved)), 0.5,
@@ -256,7 +261,7 @@ def suite_nonconvex() -> SuiteResult:
     sched = NoiseSchedule.piecewise_linear(T, 0.3)
     delta = problem.initial_gap()
     seeds = range(30)
-    worst = max(float(rec.stepsizes.max()) for _, rec in _run_seeds(
+    worst = max(float(rec.stepsizes.max(initial=0.0)) for _, rec in _run_seeds(
         problem, sched, "variance_adaptive", seeds))
     return SuiteResult("nonconvex", (
         *(_mean_under_bound(f"{pol_name}-stationarity", problem, sched, pol_name,

@@ -24,6 +24,7 @@ from nonstat_opt.policy import POLICIES
 # spike_roots row by 4e-12, which is not a change of the program.
 RECORDED_ON = ("scipy-openblas 0.3.31 (DYNAMIC_ARCH, AVX2/AVX-512 kernel), "
                "numpy 2.4.6, Python 3.11.7")
+GOLDEN_DIR = Path(__file__).parent / "golden"  # the GOLDEN results.csv tables
 
 
 def running_platform() -> str:
@@ -42,10 +43,34 @@ def running_platform() -> str:
             f"numpy {np.__version__}, Python {platform.python_version()}")
 
 
-def assert_golden_bytes(data: bytes, digest: str):
+def csv_row_diff(recorded: bytes, produced: bytes) -> list[str]:
+    """Each results.csv row that differs, by (policy, T, alpha, seed), with the
+    recorded and the produced value of every column that differs."""
+    def rows(data):
+        return {tuple(v[1:5]): v for v in (line.split(",")
+                                           for line in data.decode().splitlines()[1:])}
+    old, new = rows(recorded), rows(produced)
+    columns = CSV_HEADER.split(",")
+    diffs = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None:
+            diffs.append(f"({', '.join(key)}): only {'produced' if a is None else 'recorded'}")
+        elif a != b:
+            diffs.append(f"({', '.join(key)}): " + "; ".join(
+                f"{col} recorded {x}, produced {y}"
+                for col, x, y in zip(columns, a, b) if x != y))
+    return diffs
+
+
+def assert_golden_bytes(data: bytes, digest: str, recorded: bytes | None = None):
+    """Bytes against their sha256; on a mismatch, a results.csv also lists each
+    row that differs from the ``recorded`` table."""
     actual = hashlib.sha256(data).hexdigest()
-    assert actual == digest, (f"sha256 {actual}, golden {digest}; recorded on "
-                              f"{RECORDED_ON}, running on {running_platform()}")
+    assert actual == digest, (
+        f"sha256 {actual}, golden {digest}; recorded on {RECORDED_ON}, running on "
+        f"{running_platform()}" + ("" if recorded is None else "".join(
+            f"\n  {row}" for row in csv_row_diff(recorded, data))))
 
 
 def write_config(tmp_path, **overrides):
@@ -122,15 +147,21 @@ class TestSweep:
         assert all(int(r.split(",")[8]) == 61 for r in rows)
 
     def test_bound_const_flag_scales_adaptive_bound(self, tmp_path):
-        cfg = write_config(tmp_path, policies=["adaptive"], seeds=[0])
-        main(["sweep", "--config", str(cfg), "--bound-const", "4"])
-        b4 = float((tmp_path / "out" / "results.csv")
-                   .read_text().splitlines()[1].split(",")[6])
-        main(["sweep", "--config", str(cfg), "--bound-const", "32"])
-        b32 = float((tmp_path / "out" / "results.csv")
-                    .read_text().splitlines()[1].split(",")[6])
-        # CSV carries 12 significant digits, so compare just above that
-        assert b32 == pytest.approx(8 * b4, rel=1e-9)
+        """On both problem kinds, --bound-const scales the rate bound of both
+        adaptive classes and leaves a baseline's bound of its steps unchanged."""
+        ratios = {"adaptive": 8, "variance_adaptive": 8, "constant": 1}
+        for problem in (self.QUADRATIC, self.NONCONVEX):
+            cfg = write_config(tmp_path, problem=problem, policies=list(ratios),
+                               seeds=[0])
+            bounds = {}
+            for C in ("4", "32"):
+                assert main(["sweep", "--config", str(cfg), "--bound-const", C]) == 0
+                rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+                bounds[C] = {r.split(",")[1]: float(r.split(",")[6]) for r in rows}
+            for name, ratio in ratios.items():
+                # CSV carries 12 significant digits, so compare just above that
+                assert bounds["32"][name] == pytest.approx(
+                    ratio * bounds["4"][name], rel=1e-9), (problem["kind"], name)
 
     def test_nonconvex_problem_policies(self, tmp_path):
         cfg = write_config(
@@ -257,13 +288,13 @@ class TestSweep:
     # rule that each estimator's own denominator replaced.
     QUADRATIC = {"kind": "quadratic", "dim": 6, "n": 18, "seed": 0,
                  "radius": 1.0}
+    NONCONVEX = {"kind": "smooth_nonconvex", "dim": 6, "seed": 1, "radius": 1.0}
     GOLDEN = {
         "quadratic": (QUADRATIC, {"kind": "piecewise_linear"},
                       {"p": 3.0, "window": 8},
                       "438108456be37c02954b827ebcb008f1"
                       "0c6592bdad3d6c5fcdb57f5612e85bab"),
-        "smooth_nonconvex": ({"kind": "smooth_nonconvex", "dim": 6, "seed": 1,
-                              "radius": 1.0}, {"kind": "piecewise_linear"},
+        "smooth_nonconvex": (NONCONVEX, {"kind": "piecewise_linear"},
                              {"p": 3.0, "window": 8},
                              "6b71f14f596395cc7280c554f021dc8a"
                              "32b11683105b2ad2ba04d360593b8a65"),
@@ -283,7 +314,23 @@ class TestSweep:
         data = (tmp_path / "out" / "results.csv").read_bytes()
         assert len(data.splitlines()) == 1 + 7 * 2 * 2 * 2
         assert b"nan" not in data
-        assert_golden_bytes(data, digest)
+        recorded = (GOLDEN_DIR / f"{kind}_results.csv").read_bytes()
+        assert hashlib.sha256(recorded).hexdigest() == digest  # the table diffed against
+        assert_golden_bytes(data, digest, recorded)
+
+    def test_golden_mismatch_lists_the_rows_that_differ(self):
+        recorded = (GOLDEN_DIR / "spike_roots_results.csv").read_bytes()
+        header, *rows = recorded.decode().splitlines()
+        changed = rows[4].split(",")
+        final, changed[5] = changed[5], "1.5"
+        produced = "\n".join([header, *rows[:4], ",".join(changed), *rows[5:-1]])
+        diff = csv_row_diff(recorded, produced.encode())
+        key, last = ", ".join(changed[1:5]), ", ".join(rows[-1].split(",")[1:5])
+        assert diff == [f"({key}): final_metric recorded {final}, produced 1.5",
+                        f"({last}): only recorded"]
+        with pytest.raises(AssertionError, match=re.escape(diff[0])):
+            assert_golden_bytes(produced.encode(), self.GOLDEN["spike_roots"][3],
+                                recorded)
 
 
 class TestRunMode:
@@ -386,15 +433,24 @@ class TestVerifyCommand:
                             self.GOLDEN_REPORTS[suite])
 
     def test_failed_run_counts_as_inf(self):
-        """A diverging run is infinitely bad in every suite's seed helper."""
-        problem = build_problem(ExperimentConfig.parse({"problem": {"dim": 5, "n": 10}}))
-        schedule = NoiseSchedule.piecewise_linear(50, 0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            finals, policy, _ = verify._finals(problem, schedule, "adaptive", [0, 1],
-                                               {"c": 1e200})
-        assert policy.c == 1e200
-        assert finals.tolist() == [np.inf, np.inf]
+        """A diverging run, and a run that raises, is infinitely bad in every
+        suite's seed helper, which goes on to the next seed."""
+        cases = (  # problem radius, schedule, overrides, failure reason
+            (1.0, NoiseSchedule.piecewise_linear(50, 0.5), {"c": 1e200},
+             "iterate overflow"),
+            # no noise and a start at x*: the estimate and m are both 0
+            (0.0, NoiseSchedule.constant(0.0, 50), {"c": 1.0, "m": 0.0},
+             "degenerate stepsize denominator"))
+        for radius, schedule, overrides, reason in cases:
+            problem = build_problem(ExperimentConfig.parse(
+                {"problem": {"dim": 5, "n": 10, "radius": radius}}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                finals, policy, rec = verify._finals(problem, schedule, "adaptive",
+                                                     [0, 1], overrides)
+            assert policy.c == overrides["c"]
+            assert finals.tolist() == [np.inf, np.inf]
+            assert rec.failed and reason in rec.failure_reason
 
 
 class TestCriterionConstructors:
@@ -410,11 +466,15 @@ class TestCriterionConstructors:
         assert not verify._within("c", -0.39, -0.60, -0.40, -0.5).passed
 
     def test_nan_fails_every_comparison(self):
-        for crit in (verify._at_most("c", np.nan, 1.0),
-                     verify._at_least("c", np.nan, 1.0),
-                     verify._within("c", np.nan, -0.60, -0.40, -0.5)):
-            assert not crit.passed
-            assert crit.describe().startswith("FAIL c: measured nan ")
+        """So does an infinite one, a failed run's inf, even against an infinite bound."""
+        for measured in (np.nan, np.inf, -np.inf):
+            for crit in (verify._at_most("c", measured, 1.0),
+                         verify._at_most("c", measured, np.inf),
+                         verify._at_least("c", measured, 1.0),
+                         verify._at_least("c", measured, -np.inf),
+                         verify._within("c", measured, -0.60, -0.40, -0.5)):
+                assert not crit.passed
+                assert crit.describe().startswith(f"FAIL c: measured {measured:.6g} ")
 
     def test_window_comparator_and_target(self):
         crit = verify._within("c", -0.5, -0.60, -0.40, -0.5)

@@ -57,7 +57,6 @@ class SpyPolicy:
         self.events = events
         self.uses_pairs = inner.uses_pairs
         self.estimator = inner.estimator
-        self.name = inner.name
 
     def init(self, oracle, x1):
         self.inner.init(oracle, x1)
@@ -203,7 +202,7 @@ def test_one_loop_contract(kind, name):
                else make_smooth_nonconvex(4, radius=1.0, seed=0))
     sched = NoiseSchedule.piecewise_linear(T, 0.3)
     events = []
-    build, _ = POLICIES[name]
+    build = POLICIES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         policy = SpyPolicy(build(problem, sched, {}), events)
@@ -244,7 +243,7 @@ def test_value_trace_is_opt_in(quad, name):
     whatever T; with it, once more per iteration, and every other output keeps
     its bits."""
     problem = ValueCounter(quad)
-    build, _ = POLICIES[name]
+    build = POLICIES[name]
     calls, records = {}, {}
     for T in (20, 80):
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
