@@ -120,7 +120,7 @@ SCHEMA = {
                   "p": (_optional(_range(_real, 0, low_open=True)), None),
                   "m_coeff": (_optional(_one_of(_int, 2, 8)), None),
                   "bound_const": (_optional(_one_of(_int, 4, 32, 12)), 32),
-                  "window": (_optional(_range(_int, 1)), None)},
+                  "window": (_optional(_range(_int, 1, sys.maxsize + 1)), None)},
     "out": (os.fspath, "results"),
 }
 
@@ -268,9 +268,9 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
                 alpha: float, seed: int, trace_values: bool = False):
     """One (policy, T, alpha, seed) cell: returns (ResultRow, RunRecord, schedule).
 
-    ``trace_values`` records a convex run's f(x_k) - f* trace. A ValueError
-    from building, running or bounding the cell gives a failed record that
-    keeps the queries already drawn.
+    ``trace_values`` records a convex run's f(x_k) - f* trace. The runner
+    records an aborted run; a ValueError from building the cell, a runner's
+    precondition or the bound gives a failed record that keeps its queries.
     """
     bound_const = cfg.overrides.get("bound_const") or SCHEMA["overrides"]["bound_const"][1]
     schedule = oracle = None
@@ -288,7 +288,7 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
             record = run_nonconvex(oracle, policy)
         elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
         if not record.failed:
-            bound_value = policy.bound(problem, schedule, record, float(bound_const))
+            bound_value = policy.bound(problem, schedule, float(bound_const))
             if record.squared_trace:
                 regret_value = analysis.regret_from_run(record, schedule)
     except ValueError as exc:

@@ -75,13 +75,14 @@ class StepPolicy:
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         """Feed the gradient(s) realised at the current iteration."""
 
-    def bound(self, problem, schedule, record, bound_const: float) -> float:
-        """The weighted-SGD bound on the steps the run took; bound_const is unused."""
+    def bound(self, problem, schedule, bound_const: float) -> float:
+        """The weighted-SGD bound on the steps ``eta`` fixed at construction, the
+        values a completed run records; bound_const is unused."""
+        etas = np.full(schedule.horizon, self.eta)
         if problem.convex:
-            return analysis.suboptimality_bound(problem.radius, schedule,
-                                                record.stepsizes)
+            return analysis.suboptimality_bound(problem.radius, schedule, etas)
         return analysis.stationarity_bound(problem.initial_gap(), problem.L,
-                                           schedule, record.stepsizes)
+                                           schedule, etas)
 
 
 class FixedStep(StepPolicy):
@@ -104,10 +105,10 @@ class ScheduledStep(StepPolicy):
         etas = np.asarray(etas, dtype=float)
         if etas.ndim != 1 or not np.all(np.isfinite(etas) & (etas > 0)):
             raise ValueError("stepsizes must be positive and finite")
-        self._etas = etas.tolist()
+        self.eta = etas.tolist()
 
     def stepsize(self, k: int) -> float:
-        return self._etas[k - 1]
+        return self.eta[k - 1]
 
 
 class AdaptiveStep(StepPolicy):
@@ -136,8 +137,8 @@ class AdaptiveStep(StepPolicy):
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         self.estimator.update(g)
 
-    def bound(self, problem, schedule, record, bound_const: float) -> float:
-        """The rate bound at this policy's correction m, whatever steps it took."""
+    def bound(self, problem, schedule, bound_const: float) -> float:
+        """The rate bound at this policy's correction m, whatever steps it takes."""
         if problem.convex:
             return analysis.adaptive_bound(problem.radius, schedule, self.m,
                                            bound_const)

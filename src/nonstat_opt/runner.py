@@ -63,8 +63,9 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
     x_1..x_T, or a stepsize-weighted random index with eta_k <= 1/(2L)
     enforced. ``trace_values`` adds the f(x_k) - f* trace of an averaged run,
     one value() call per iteration; only ``run``'s trajectory file reads it.
-    eta_k is fixed before g_k is drawn. Overflow is reported by the
-    finiteness check, not by numpy warnings.
+    eta_k is fixed before g_k is drawn. A ValueError in the loop (the cap, a
+    degenerate denominator, a non-finite iterate) ends the run as a failed
+    record, "aborted at iteration k: <cause>", that keeps its queries.
     """
     problem, T, seed = oracle.problem, oracle.schedule.horizon, oracle.seed
     grad_sq = np.zeros(T)
@@ -83,42 +84,45 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
         reservoir = WeightedIndexReservoir(np.random.default_rng([seed, _SAMPLER_SALT]))
     with np.errstate(over="ignore", invalid="ignore"):
         policy.init(oracle, x)
-        for k in range(1, T + 1):
-            eta = policy.stepsize(k)
-            if not averaged and eta > cap * (1.0 + 1e-12):
-                raise ValueError(
-                    f"stepsize {eta:.4g} at k={k} exceeds the smoothness cap {cap:.4g}")
-            record.stepsizes[k - 1] = eta
-            if record.estimator_trace is not None:
-                record.estimator_trace[k - 1] = policy.estimator.value
-            if record.suboptimality is not None:
-                record.suboptimality[k - 1] = problem.value(x) - problem.f_star
-            if averaged:
-                xbar_acc += eta * x
-                eta_sum += eta
-            else:
-                reservoir.offer(k, eta)
-            if policy.uses_pairs:
-                g1, g2, true_grad = oracle.query_pair(x, k, with_true=True)
-                policy.observe(g1, g2)
-                g = 0.5 * (g1 + g2)
-            else:
-                g, true_grad = oracle.query(x, k, with_true=True)
-                policy.observe(g)
-            grad_sq[k - 1] = true_grad @ true_grad
-            x = x - eta * g
-            if not np.isfinite(x).all():
-                record.failed = True
-                record.failure_reason = f"aborted at iteration {k}: iterate overflow or NaN"
-                record.oracle_queries = oracle.query_count
-                return record
+        try:
+            for k in range(1, T + 1):
+                eta = policy.stepsize(k)
+                if not averaged and eta > cap * (1.0 + 1e-12):
+                    raise ValueError(
+                        f"stepsize {eta:.4g} exceeds the smoothness cap {cap:.4g}")
+                record.stepsizes[k - 1] = eta
+                if record.estimator_trace is not None:
+                    record.estimator_trace[k - 1] = policy.estimator.value
+                if record.suboptimality is not None:
+                    record.suboptimality[k - 1] = problem.value(x) - problem.f_star
+                if averaged:
+                    xbar_acc += eta * x
+                    eta_sum += eta
+                else:
+                    reservoir.offer(k, eta)
+                if policy.uses_pairs:
+                    g1, g2, true_grad = oracle.query_pair(x, k, with_true=True)
+                    policy.observe(g1, g2)
+                    g = 0.5 * (g1 + g2)
+                else:
+                    g, true_grad = oracle.query(x, k, with_true=True)
+                    policy.observe(g)
+                grad_sq[k - 1] = true_grad @ true_grad
+                x = x - eta * g
+                if not np.isfinite(x).all():
+                    raise ValueError("iterate overflow or NaN")
+        except ValueError as exc:
+            record.failed = True
+            record.failure_reason = f"aborted at iteration {k}: {exc}"
+    record.oracle_queries = oracle.query_count
+    if record.failed:
+        return record
     if averaged:
         record.x_bar = xbar_acc / eta_sum
         record.final_metric = problem.value(record.x_bar) - problem.f_star
     else:
         record.sampled_index = reservoir.index
         record.final_metric = float(grad_sq[reservoir.index - 1])
-    record.oracle_queries = oracle.query_count
     return record
 
 

@@ -16,7 +16,7 @@ from . import analysis, policy as pol
 from .estimator import SecondMomentEMA, default_beta, regret, regret_bound
 from .oracle import Oracle
 from .problems import make_quadratic, make_smooth_nonconvex
-from .runner import (RunRecord, run_convex, run_estimation_only, run_nonconvex,
+from .runner import (run_convex, run_estimation_only, run_nonconvex,
                      run_variance_adaptive)
 from .schedule import NoiseSchedule
 
@@ -83,9 +83,9 @@ def _reference_quadratic(radius: float = 1.0):
 
 
 def _run_seeds(problem, schedule, name, seeds, overrides=None):
-    """Yield (policy, record) per seed, each run with its own oracle and policy;
-    a run that raises a ValueError gives a failed record, as in ``sweep``.
-    Records are not kept, so a suite holds one run's traces at a time."""
+    """Yield each seed's record, each run with its own oracle and policy; the
+    runner records an aborted run as failed. Records are not kept, so a suite
+    holds one run's traces at a time."""
     for seed in seeds:
         oracle = Oracle(problem, schedule, seed=seed)
         policy = pol.POLICIES[name](problem, schedule, overrides or {})
@@ -95,32 +95,25 @@ def _run_seeds(problem, schedule, name, seeds, overrides=None):
             runner = run_convex
         else:
             runner = run_nonconvex
-        try:
-            record = runner(oracle, policy)
-        except ValueError as exc:
-            record = RunRecord(stepsizes=np.zeros(0), failed=True, failure_reason=str(exc))
-        yield policy, record
+        yield runner(oracle, policy)
 
 
-def _finals(problem, schedule, name, seeds, overrides=None):
-    """Each seed's final metric, a failed run's as inf, and the last seed's policy
-    and record: policy.bound(problem, schedule, record, C) is the bound that
-    results.csv reports."""
-    finals = []
-    for policy, rec in _run_seeds(problem, schedule, name, seeds, overrides):
-        finals.append(math.inf if rec.failed else rec.final_metric)
-    return np.array(finals), policy, rec
+def _finals(problem, schedule, name, seeds, overrides=None) -> np.ndarray:
+    """Each seed's final metric, a failed run's as inf: the seeds -> finals seam."""
+    return np.array([math.inf if rec.failed else rec.final_metric
+                     for rec in _run_seeds(problem, schedule, name, seeds, overrides)])
 
 
 def _median(problem, schedule, name, seeds, overrides=None) -> float:
     """The median final metric over the seeds, a failed run's counted as inf."""
-    return float(np.median(_finals(problem, schedule, name, seeds, overrides)[0]))
+    return float(np.median(_finals(problem, schedule, name, seeds, overrides)))
 
 
 def _mean_under_bound(name, problem, schedule, method, seeds, slack, /, **details):
-    """Mean final metric over the seeds at most slack x the method's bound at C = 32."""
-    finals, policy, rec = _finals(problem, schedule, method, seeds)
-    bound = policy.bound(problem, schedule, rec, 32.0)
+    """Mean final metric over the seeds at most slack x the method's bound at C = 32,
+    the bound of a policy built as the runs' policies are."""
+    finals = _finals(problem, schedule, method, seeds)
+    bound = pol.POLICIES[method](problem, schedule, {}).bound(problem, schedule, 32.0)
     return _at_most(name, float(np.mean(finals)), slack * bound, bound=bound,
                     seeds=len(seeds), **details)
 
@@ -193,7 +186,7 @@ def suite_rates() -> SuiteResult:
     # Largest measured speedup over the constant baseline across the grid,
     # as an exponent; the analysis says it cannot beat ~1/9 by much.
     improvement = max(
-        math.log(c_med / a_med) / math.log(T)
+        math.log(ratio) / math.log(T) if (ratio := c_med / a_med) > 0 else -math.inf
         for (T, c_med), (_, a_med) in zip(medians["constant"], medians["adaptive"]))
     return SuiteResult("rates", (
         _within("constant-slope", fits["constant"].slope, -0.60, -0.40, -0.5,
@@ -226,13 +219,13 @@ def suite_theorem2() -> SuiteResult:
     sched = NoiseSchedule.piecewise_linear(T, 0.05)
     seeds = range(40)
     crits = []
-    for m_coeff in (2.0, 8.0):
-        finals, policy, rec = _finals(problem, sched, "adaptive", seeds,
-                                      {"m_coeff": m_coeff})
-        bound_proved = policy.bound(problem, sched, rec, 32.0)
-        bound_stated = policy.bound(problem, sched, rec, 4.0)
+    for ov in ({"m_coeff": 2.0}, {"m_coeff": 8.0}):
+        finals = _finals(problem, sched, "adaptive", seeds, ov)
+        policy = pol.POLICIES["adaptive"](problem, sched, ov)  # as the runs built it
+        bound_proved = policy.bound(problem, sched, 32.0)
+        bound_stated = policy.bound(problem, sched, 4.0)
         crits.append(_at_least(
-            f"half-under-bound-mcoeff{m_coeff:g}",
+            f"half-under-bound-mcoeff{ov['m_coeff']:g}",
             float(np.mean(finals <= bound_proved)), 0.5,
             bound_constant_32=bound_proved, bound_constant_4=bound_stated,
             fraction_under_4_constant=float(np.mean(finals <= bound_stated)),
@@ -261,7 +254,7 @@ def suite_nonconvex() -> SuiteResult:
     sched = NoiseSchedule.piecewise_linear(T, 0.3)
     delta = problem.initial_gap()
     seeds = range(30)
-    worst = max(float(rec.stepsizes.max(initial=0.0)) for _, rec in _run_seeds(
+    worst = max(float(rec.stepsizes.max()) for rec in _run_seeds(
         problem, sched, "variance_adaptive", seeds))
     return SuiteResult("nonconvex", (
         *(_mean_under_bound(f"{pol_name}-stationarity", problem, sched, pol_name,

@@ -7,6 +7,7 @@ import os
 import platform
 import re
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from nonstat_opt.policy import POLICIES
 # spike_roots row by 4e-12, which is not a change of the program.
 RECORDED_ON = ("scipy-openblas 0.3.31 (DYNAMIC_ARCH, AVX2/AVX-512 kernel), "
                "numpy 2.4.6, Python 3.11.7")
-GOLDEN_DIR = Path(__file__).parent / "golden"  # the GOLDEN results.csv tables
+GOLDEN_DIR = Path(__file__).parent / "golden"  # the recorded golden files
 
 
 def running_platform() -> str:
@@ -43,34 +44,48 @@ def running_platform() -> str:
             f"numpy {np.__version__}, Python {platform.python_version()}")
 
 
-def csv_row_diff(recorded: bytes, produced: bytes) -> list[str]:
-    """Each results.csv row that differs, by (policy, T, alpha, seed), with the
-    recorded and the produced value of every column that differs."""
-    def rows(data):
-        return {tuple(v[1:5]): v for v in (line.split(",")
-                                           for line in data.decode().splitlines()[1:])}
-    old, new = rows(recorded), rows(produced)
-    columns = CSV_HEADER.split(",")
+def keyed_diff(recorded: dict, produced: dict) -> list[str]:
+    """Each entry (a dict of fields) that differs, by its key in recorded order,
+    with the recorded and the produced value of every field that differs."""
     diffs = []
-    for key in sorted(old.keys() | new.keys()):
-        a, b = old.get(key), new.get(key)
+    for key in recorded | produced:
+        a, b = recorded.get(key), produced.get(key)
         if a is None or b is None:
-            diffs.append(f"({', '.join(key)}): only {'produced' if a is None else 'recorded'}")
+            diffs.append(f"{key}: only {'produced' if a is None else 'recorded'}")
         elif a != b:
-            diffs.append(f"({', '.join(key)}): " + "; ".join(
-                f"{col} recorded {x}, produced {y}"
-                for col, x, y in zip(columns, a, b) if x != y))
+            diffs.append(f"{key}: " + "; ".join(
+                f"{field} recorded {a.get(field)}, produced {b.get(field)}"
+                for field in a | b if a.get(field) != b.get(field)))
     return diffs
 
 
-def assert_golden_bytes(data: bytes, digest: str, recorded: bytes | None = None):
-    """Bytes against their sha256; on a mismatch, a results.csv also lists each
-    row that differs from the ``recorded`` table."""
+def csv_rows(data: bytes, key: slice = slice(1, 5)) -> dict:
+    """A CSV's rows by their ``key`` columns, "(policy, T, alpha, seed)" for a
+    results.csv, each a dict of column -> value."""
+    header, *lines = data.decode().splitlines()
+    return {f"({', '.join(values[key])})": dict(zip(header.split(","), values))
+            for values in (line.split(",") for line in lines)}
+
+
+trajectory_rows = partial(csv_rows, key=slice(0, 1))  # a trajectory's rows by "(k)"
+
+
+def report_criteria(data: bytes) -> dict:
+    """A verify_report.json's criteria by "[suite] name", each a dict of fields."""
+    return {f"[{suite}] {crit['name']}": crit for suite, result in json.loads(data).items()
+            for crit in result["criteria"]}
+
+
+def assert_golden_bytes(data: bytes, digest: str, recorded: bytes | None = None,
+                        entries=csv_rows):
+    """Bytes against their sha256; on a mismatch, lists each entry that differs
+    from the ``recorded`` file, both split by ``entries`` (results.csv rows
+    unless told otherwise)."""
     actual = hashlib.sha256(data).hexdigest()
     assert actual == digest, (
         f"sha256 {actual}, golden {digest}; recorded on {RECORDED_ON}, running on "
         f"{running_platform()}" + ("" if recorded is None else "".join(
-            f"\n  {row}" for row in csv_row_diff(recorded, data))))
+            f"\n  {entry}" for entry in keyed_diff(entries(recorded), entries(data)))))
 
 
 def write_config(tmp_path, **overrides):
@@ -324,7 +339,7 @@ class TestSweep:
         changed = rows[4].split(",")
         final, changed[5] = changed[5], "1.5"
         produced = "\n".join([header, *rows[:4], ",".join(changed), *rows[5:-1]])
-        diff = csv_row_diff(recorded, produced.encode())
+        diff = keyed_diff(csv_rows(recorded), csv_rows(produced.encode()))
         key, last = ", ".join(changed[1:5]), ", ".join(rows[-1].split(",")[1:5])
         assert diff == [f"({key}): final_metric recorded {final}, produced 1.5",
                         f"({last}): only recorded"]
@@ -357,7 +372,21 @@ class TestRunMode:
         assert main(["run", "--config", str(cfg)]) == 0
         data = next((tmp_path / "out").glob("trajectory_*.csv")).read_bytes()
         assert len(data.splitlines()) == 1 + 200
-        assert_golden_bytes(data, self.GOLDEN_TRAJECTORY)
+        recorded = (GOLDEN_DIR / "adaptive_trajectory.csv").read_bytes()
+        assert hashlib.sha256(recorded).hexdigest() == self.GOLDEN_TRAJECTORY
+        assert_golden_bytes(data, self.GOLDEN_TRAJECTORY, recorded, trajectory_rows)
+
+    def test_trajectory_mismatch_lists_the_rows_that_differ(self):
+        recorded = (GOLDEN_DIR / "adaptive_trajectory.csv").read_bytes()
+        header, *rows = recorded.decode().splitlines()
+        changed = rows[4].split(",")
+        eta, changed[1] = changed[1], "1.5"
+        produced = "\n".join([header, *rows[:4], ",".join(changed), *rows[5:-1]])
+        diff = keyed_diff(trajectory_rows(recorded), trajectory_rows(produced.encode()))
+        assert diff == [f"(5): eta recorded {eta}, produced 1.5", "(200): only recorded"]
+        with pytest.raises(AssertionError, match=re.escape(diff[0])):
+            assert_golden_bytes(produced.encode(), self.GOLDEN_TRAJECTORY, recorded,
+                                trajectory_rows)
 
     def test_untraced_averaged_run_has_no_trajectory(self, tmp_path):
         """A convex sweep cell skips the f(x) trace that column 3 needs: writing
@@ -429,28 +458,73 @@ class TestVerifyCommand:
     def test_golden_report_bytes(self, tmp_path, suite):
         out = tmp_path / "v"
         assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+        recorded = (GOLDEN_DIR / f"{suite}_verify_report.json").read_bytes()
+        assert hashlib.sha256(recorded).hexdigest() == self.GOLDEN_REPORTS[suite]
         assert_golden_bytes((out / "verify_report.json").read_bytes(),
-                            self.GOLDEN_REPORTS[suite])
+                            self.GOLDEN_REPORTS[suite], recorded, report_criteria)
+
+    def test_report_mismatch_lists_the_criteria_that_differ(self):
+        recorded = (GOLDEN_DIR / "regret_verify_report.json").read_bytes()
+        report = json.loads(recorded)
+        first, _ = report["regret"]["criteria"]
+        measured, first["measured"], first["passed"] = first["measured"], 1.5, False
+        report["regret"]["criteria"] = [first]
+        produced = json.dumps(report, indent=2, sort_keys=True).encode()
+        diff = keyed_diff(report_criteria(recorded), report_criteria(produced))
+        assert diff == [f"[regret] regret-T1000: measured recorded {measured}, produced "
+                        "1.5; passed recorded True, produced False",
+                        "[regret] regret-T10000: only recorded"]
+        with pytest.raises(AssertionError, match=re.escape(diff[0])):
+            assert_golden_bytes(produced, self.GOLDEN_REPORTS["regret"], recorded,
+                                report_criteria)
 
     def test_failed_run_counts_as_inf(self):
-        """A diverging run, and a run that raises, is infinitely bad in every
-        suite's seed helper, which goes on to the next seed."""
+        """A run that aborts is infinitely bad in every suite's seed helper,
+        which goes on to the next seed, and a baseline's bound needs no
+        completed run."""
         cases = (  # problem radius, schedule, overrides, failure reason
             (1.0, NoiseSchedule.piecewise_linear(50, 0.5), {"c": 1e200},
-             "iterate overflow"),
+             "aborted at iteration 2: iterate overflow or NaN"),
             # no noise and a start at x*: the estimate and m are both 0
             (0.0, NoiseSchedule.constant(0.0, 50), {"c": 1.0, "m": 0.0},
-             "degenerate stepsize denominator"))
+             "aborted at iteration 1: degenerate stepsize denominator"))
         for radius, schedule, overrides, reason in cases:
             problem = build_problem(ExperimentConfig.parse(
                 {"problem": {"dim": 5, "n": 10, "radius": radius}}))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                finals, policy, rec = verify._finals(problem, schedule, "adaptive",
-                                                     [0, 1], overrides)
-            assert policy.c == overrides["c"]
+                finals = verify._finals(problem, schedule, "adaptive", [0, 1], overrides)
+                records = list(verify._run_seeds(problem, schedule, "adaptive", [0, 1],
+                                                 overrides))
             assert finals.tolist() == [np.inf, np.inf]
-            assert rec.failed and reason in rec.failure_reason
+            assert [rec.failure_reason for rec in records] == [reason, reason]
+        # every idealized run overflows; the bound of its steps was read back
+        # from the last run's record and raised on the zeros it left
+        problem = build_problem(ExperimentConfig.parse({"problem": {"dim": 5, "n": 10}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            crit = verify._mean_under_bound("x", problem,
+                                            NoiseSchedule.custom([1e-200] * 60),
+                                            "idealized", [0, 1], 1.1)
+        assert not crit.passed and crit.measured == np.inf
+
+    def test_rates_suite_fails_on_an_infinite_median(self, monkeypatch):
+        """More than half of adaptive's seeds failing at one horizon is a FAIL,
+        not a math domain error in the improvement exponent."""
+        exponents = {"constant": -0.5, "idealized": -0.75, "adaptive": -0.6}
+
+        def median(problem, schedule, name, seeds, overrides=None):
+            T = schedule.horizon
+            return np.inf if (name, T) == ("adaptive", 1000) else T ** exponents[name]
+
+        monkeypatch.setattr(verify, "_median", median)
+        monkeypatch.setattr(verify, "_reference_quadratic", lambda radius=1.0: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = verify.suite_rates()
+        verdicts = {crit.name: crit.passed for crit in result.criteria}
+        assert verdicts == {"constant-slope": True, "idealized-slope": True,
+                            "adaptive-steeper-than-constant": False}
 
 
 class TestCriterionConstructors:
@@ -586,6 +660,9 @@ class TestConfigHandling:
         ({"policies": ["pnorm"], "overrides": {"p": 0.0}}, [], "overrides.p"),
         ({"policies": ["window"], "overrides": {"window": 0}}, [],
          "overrides.window"),
+        # above sys.maxsize, which no deque takes as its width
+        ({"policies": ["window"], "overrides": {"window": 10 ** 20}}, [],
+         "overrides.window"),
         ({"overrides": {"c": -0.1}}, [], "overrides.c"),
         ({"policies": ["adaptive"], "overrides": {"m": -1.0}}, [], "overrides.m"),
         # a grid cell runs once: each ran its cells twice and exited 0
@@ -598,7 +675,7 @@ class TestConfigHandling:
             "beta-x", "m-coeff-3", "flag-bound-const-7", "negative-radius",
             "negative-radius-nonconvex", "negative-seed", "flag-seed-negative",
             "negative-alpha", "negative-level", "beta-one", "p-zero",
-            "window-zero", "negative-c", "negative-m", "repeated-T",
+            "window-zero", "window-huge", "negative-c", "negative-m", "repeated-T",
             "repeated-alpha-text", "repeated-policy", "alpha-list-constant-schedule"])
     def test_bad_input_names_its_key(self, tmp_path, capsys, config, flags, key):
         path = tmp_path / "config.json"
