@@ -117,7 +117,11 @@ def bound_report(radius: float, schedule, m: float,
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Least-squares power-law fit metric ~ C * T^slope on log-log axes."""
+    """Least-squares power-law fit metric ~ C * T^slope on log-log axes.
+
+    A non-finite metric leaves nothing to fit: slope, intercept and r_squared
+    are then nan.
+    """
 
     slope: float
     intercept: float
@@ -133,6 +137,8 @@ def fit_slope(points) -> SlopeFit:
         raise ValueError("metrics must be positive for a log-log fit")
     if len({t for t, _ in points}) < 2:
         raise ValueError("need at least two distinct T values")
+    if not all(math.isfinite(m) for _, m in points):  # a failed run's inf, or nan
+        return SlopeFit(math.nan, math.nan, math.nan, tuple(points))
     log_t = np.log([t for t, _ in points])
     log_m = np.log([m for _, m in points])
     slope, intercept = np.polyfit(log_t, log_m, 1)

@@ -92,12 +92,21 @@ class PowerEMA(_EMA):
         return float((self.value + np.float64(m) ** self.p) ** (1.0 / self.p))
 
 
+_UNIT_BITS = 1074                  # 2^-1074 is the smallest positive double
+_UNIT_INVERSE = 1 << _UNIT_BITS
+
+
 class WindowAverage(SquaredNorms):
     """value is the plain mean of the last W raw samples of ||g||^2.
 
     Averaging raw samples (rather than past estimates) is what removes the
     logarithmic factor the EMA pays for its non-uniform error accumulation;
-    the price is O(W) memory.
+    the price is O(W) memory. An update takes O(1) time: the window's finite
+    samples are summed exactly, as an integer count of 2^-1074 (every double
+    is a whole multiple of it), and ``inf`` and ``nan`` samples are counted
+    apart. So value equals ``math.fsum(window) / len(window)`` on every
+    CPython, is ``inf`` when that sum rounds above the float range, and is
+    ``nan`` or ``inf`` while the window holds one, as a float sum would be.
     """
 
     def __init__(self, width: int):
@@ -105,17 +114,45 @@ class WindowAverage(SquaredNorms):
         if width < 1:
             raise ValueError(f"window width must be at least 1, got {width}")
         self._buffer: deque[float] = deque(maxlen=width)
+        self._clear()
         self.value = 0.0
+
+    def _clear(self) -> None:
+        self._buffer.clear()
+        self._units = 0        # exact sum of the finite samples, in 2^-1074
+        self._infs = 0
+        self._nans = 0
+
+    def _count(self, sample: float, sign: int) -> None:
+        if math.isfinite(sample):
+            n, d = sample.as_integer_ratio()   # d is a power of two <= 2^1074
+            self._units += sign * (n << (_UNIT_BITS + 1 - d.bit_length()))
+        elif sample != sample:
+            self._nans += sign
+        else:
+            self._infs += sign
 
     def push_sample(self, sample: float) -> None:
         sample = float(sample)
         if sample < 0:
             raise ValueError("window samples must be nonnegative")
-        self._buffer.append(sample)
-        self.value = sum(self._buffer) / len(self._buffer)
+        buffer = self._buffer
+        if len(buffer) == buffer.maxlen:
+            self._count(buffer[0], -1)         # the sample that append evicts
+        buffer.append(sample)
+        self._count(sample, 1)
+        if self._nans:
+            self.value = math.nan
+        elif self._infs:
+            self.value = math.inf
+        else:
+            try:
+                self.value = (self._units / _UNIT_INVERSE) / len(buffer)
+            except OverflowError:              # the sum rounds above the float range
+                self.value = math.inf
 
     def initialize(self, g: np.ndarray) -> None:
-        self._buffer.clear()
+        self._clear()
         self.push_sample(float(g @ g))
 
     def update(self, g: np.ndarray) -> None:

@@ -27,14 +27,14 @@ class Oracle:
         self._rng = np.random.default_rng(self.seed)
         self._sqrt_dim = np.sqrt(problem.dim)
 
-    def _noise(self, k: int) -> np.ndarray:
+    def _noise(self, k: int, shape) -> np.ndarray:
         scale = self.schedule.level(k) / self._sqrt_dim
-        return self._rng.standard_normal(self.problem.dim) * scale
+        return self._rng.standard_normal(shape) * scale
 
     def query(self, x: np.ndarray, k: int, with_true: bool = False):
         """One stochastic gradient at (x, k). Counts as a single query."""
         true_grad = self.problem.gradient(x)
-        g = true_grad + self._noise(k)
+        g = true_grad + self._noise(k, self.problem.dim)
         self.query_count += 1
         if with_true:
             return g, true_grad
@@ -43,8 +43,10 @@ class Oracle:
     def query_pair(self, x: np.ndarray, k: int, with_true: bool = False):
         """Two independent stochastic gradients at the same (x, k)."""
         true_grad = self.problem.gradient(x)
-        g1 = true_grad + self._noise(k)
-        g2 = true_grad + self._noise(k)
+        # one (2, dim) draw yields the same stream as two dim-long draws
+        noise = self._noise(k, (2, self.problem.dim))
+        g1 = true_grad + noise[0]
+        g2 = true_grad + noise[1]
         self.query_count += 2
         if with_true:
             return g1, g2, true_grad

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,16 @@ class TestSlopeFit:
             fit_slope([(100, 1.0), (200, -1.0)])
         with pytest.raises(ValueError):
             fit_slope([(100, 1.0), (100, 2.0)])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_metric_gives_a_nan_fit(self, bad):
+        points = [(100, 1.0), (1000, bad)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_slope(points)
+        assert math.isnan(fit.slope) and math.isnan(fit.intercept)
+        assert math.isnan(fit.r_squared)
+        assert fit.points[0] == (100.0, 1.0)
 
     def test_ratio_of_baseline_bounds_scales_as_alpha(self):
         # constant/idealized rate ratio grows like T^alpha on the ramp model

@@ -520,7 +520,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "_median", median)
         monkeypatch.setattr(verify, "_reference_quadratic", lambda radius=1.0: None)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             result = verify.suite_rates()
         verdicts = {crit.name: crit.passed for crit in result.criteria}
         assert verdicts == {"constant-slope": True, "idealized-slope": True,

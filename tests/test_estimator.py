@@ -175,6 +175,39 @@ class TestWindowAverage:
         with pytest.raises(ValueError):
             WindowAverage(0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.sampled_from([1, 3, 8, 100]),
+           pushes=st.lists(st.floats(min_value=1e-300, max_value=1e300)
+                           | st.sampled_from([0.0, 5e-324]),
+                           min_size=1, max_size=300))
+    def test_value_is_the_exact_mean_of_the_window(self, width, pushes):
+        est = WindowAverage(width)
+        for i, s in enumerate(pushes):
+            est.push_sample(s)
+            window = pushes[max(0, i + 1 - width):i + 1]
+            assert est.value == math.fsum(window) / len(window)
+
+    @pytest.mark.parametrize("pushes, values", [
+        ([math.inf, 1.0, 2.0], [math.inf, math.inf, 1.5]),
+        ([math.nan, 1.0, 2.0], [math.nan, math.nan, 1.5]),
+        ([math.inf, math.nan, 1.0], [math.inf, math.nan, math.nan]),
+        ([1e308, 1e308], [1e308, math.inf]),   # the sum rounds above the float range
+    ], ids=["inf", "nan", "inf-then-nan", "overflow"])
+    def test_non_finite_samples_leave_the_window(self, pushes, values):
+        est = WindowAverage(2)
+        for s, expected in zip(pushes, values):
+            est.push_sample(s)
+            assert est.value == expected or (math.isnan(est.value) and math.isnan(expected))
+
+    def test_initialize_starts_a_new_window(self):
+        est = WindowAverage(3)
+        for s in (math.nan, math.inf, 1e308, 7.0):
+            est.push_sample(s)
+        est.initialize(np.array([3.0, 4.0]))
+        assert est.value == 25.0
+        est.push_sample(1.0)
+        assert est.value == 13.0
+
 
 class TestDenominator:
     """denominator(m) is m_hat + m, m_hat being the estimate in norm units."""

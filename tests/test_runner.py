@@ -166,6 +166,10 @@ class TestConvexRun:
             warnings.simplefilter("ignore", RuntimeWarning)  # T=50 regime warning
             # no noise and a start at x*: the estimate and m are both 0
             degenerate = make_adaptive(0.0, 0.0, 50, c=1.0, m=0.0)
+            small = make_quadratic(seed=0, dim=5, n=10)
+            huge = NoiseSchedule.custom([1e154] * 20)
+            # the window's sum of two ~1e308 samples rounds above the float range
+            overflowing_window = POLICIES["window"](small, huge, {})
         cases = (  # runner, problem, schedule, policy, failure reason, queries
             (run_convex, quad, flat, FixedStep(1e200),
              "aborted at iteration 2: iterate overflow or NaN", 2),
@@ -180,6 +184,8 @@ class TestConvexRun:
             (run_convex, make_quadratic(seed=0, dim=5, n=10, radius=0.0),
              NoiseSchedule.constant(0.0, 50), degenerate,
              "aborted at iteration 1: degenerate stepsize denominator", 1),
+            (run_convex, small, huge, overflowing_window,
+             "aborted at iteration 3: degenerate stepsize denominator", 3),
         )
         for runner, problem, sched, policy, reason, queries in cases:
             oracle = Oracle(problem, sched, seed=0)
