@@ -92,21 +92,18 @@ class PowerEMA(_EMA):
         return float((self.value + np.float64(m) ** self.p) ** (1.0 / self.p))
 
 
-_UNIT_BITS = 1074                  # 2^-1074 is the smallest positive double
-_UNIT_INVERSE = 1 << _UNIT_BITS
-
-
 class WindowAverage(SquaredNorms):
     """value is the plain mean of the last W raw samples of ||g||^2.
 
     Averaging raw samples (rather than past estimates) is what removes the
     logarithmic factor the EMA pays for its non-uniform error accumulation;
     the price is O(W) memory. An update takes O(1) time: the window's finite
-    samples are summed exactly, as an integer count of 2^-1074 (every double
-    is a whole multiple of it), and ``inf`` and ``nan`` samples are counted
-    apart. So value equals ``math.fsum(window) / len(window)`` on every
-    CPython, is ``inf`` when that sum rounds above the float range, and is
-    ``nan`` or ``inf`` while the window holds one, as a float sum would be.
+    samples are summed exactly, as an integer count of 2^-scale, where 2^-scale
+    is the finest unit of any sample since ``initialize`` (a double is a whole
+    multiple of 2^-k for the 2^k its ``as_integer_ratio`` gives, k <= 1074).
+    So value equals ``math.fsum(window) / len(window)`` on every CPython, and
+    is ``inf`` when that sum rounds above the float range. While the window
+    holds an ``inf`` or ``nan``, value is the float sum's ``inf`` or ``nan``.
     """
 
     def __init__(self, width: int):
@@ -119,18 +116,9 @@ class WindowAverage(SquaredNorms):
 
     def _clear(self) -> None:
         self._buffer.clear()
-        self._units = 0        # exact sum of the finite samples, in 2^-1074
-        self._infs = 0
-        self._nans = 0
-
-    def _count(self, sample: float, sign: int) -> None:
-        if math.isfinite(sample):
-            n, d = sample.as_integer_ratio()   # d is a power of two <= 2^1074
-            self._units += sign * (n << (_UNIT_BITS + 1 - d.bit_length()))
-        elif sample != sample:
-            self._nans += sign
-        else:
-            self._infs += sign
+        self._units = 0        # exact sum of the finite samples, in 2^-scale
+        self._scale = 0
+        self._non_finite = 0
 
     def push_sample(self, sample: float) -> None:
         sample = float(sample)
@@ -138,16 +126,27 @@ class WindowAverage(SquaredNorms):
             raise ValueError("window samples must be nonnegative")
         buffer = self._buffer
         if len(buffer) == buffer.maxlen:
-            self._count(buffer[0], -1)         # the sample that append evicts
+            evicted = buffer[0]                # the sample that append drops
+            if math.isfinite(evicted):
+                n, d = evicted.as_integer_ratio()   # d divides 2^scale
+                self._units -= n << (self._scale + 1 - d.bit_length())
+            else:
+                self._non_finite -= 1
         buffer.append(sample)
-        self._count(sample, 1)
-        if self._nans:
-            self.value = math.nan
-        elif self._infs:
-            self.value = math.inf
+        if math.isfinite(sample):
+            n, d = sample.as_integer_ratio()
+            k = d.bit_length() - 1
+            if k > self._scale:                # a finer unit: rescale the sum
+                self._units <<= k - self._scale
+                self._scale = k
+            self._units += n << (self._scale - k)
+        else:
+            self._non_finite += 1
+        if self._non_finite:
+            self.value = sum(buffer) / len(buffer)
         else:
             try:
-                self.value = (self._units / _UNIT_INVERSE) / len(buffer)
+                self.value = (self._units / (1 << self._scale)) / len(buffer)
             except OverflowError:              # the sum rounds above the float range
                 self.value = math.inf
 

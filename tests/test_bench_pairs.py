@@ -7,6 +7,9 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
+NONE_FAILED = {"parent": {"failed": 0, "attempted": 40},
+               "change": {"failed": 0, "attempted": 60}}
+
 
 def test_claim_and_bound_verdicts():
     parent = [100.0, 104.0, 98.0, 102.0, 101.0, 99.0, 103.0, 97.0, 100.0, 102.0]
@@ -14,16 +17,21 @@ def test_claim_and_bound_verdicts():
     s = bench_pairs.summarize(parent, faster, "higher", 0.25)
     assert s["change_wins"] == 9 and s["pairs"] == 10
     assert s["parent"]["median"] == 100.5 and s["parent_iqr"] == 3.5
-    assert bench_pairs.claim_verdict(s) == "gain" and s["verdict"] == "pass"
+    assert bench_pairs.claim_verdict(s, NONE_FAILED) == "gain" and s["verdict"] == "pass"
+    # the same pairs are no gain when the change fails a larger share of operations
+    more_failed = {"parent": {"failed": 1, "attempted": 40},
+                   "change": {"failed": 2, "attempted": 60}}
+    assert bench_pairs.failures_verdict(more_failed) == "fail"
+    assert bench_pairs.claim_verdict(s, more_failed) == "no gain"
 
     # 8 of 10 wins is no gain, however large the medians' gap
     eight = faster[:7] + [90.0, 99.0, 151.0]
     assert bench_pairs.claim_verdict(
-        bench_pairs.summarize(parent, eight, "higher", 0.25)) == "no gain"
+        bench_pairs.summarize(parent, eight, "higher", 0.25), NONE_FAILED) == "no gain"
     # 10 wins by less than the parent's interquartile distance is no gain
     close = [p + 1.0 for p in parent]
     s = bench_pairs.summarize(parent, close, "higher", 0.25)
-    assert s["change_wins"] == 10 and bench_pairs.claim_verdict(s) == "no gain"
+    assert s["change_wins"] == 10 and bench_pairs.claim_verdict(s, NONE_FAILED) == "no gain"
 
     # lower is better: 30% slower fails its 0.25 bound, 20% slower passes
     walls = [4.0, 4.1, 3.9, 4.0]

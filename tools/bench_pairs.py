@@ -22,15 +22,19 @@ verdict against the metric's bound:
   every parent sample;
 - ``pass``: otherwise.
 
+The failed operations of all pairs pass when the change's share of them is
+no larger than the parent's.
+
 ``--metric`` names the metric the change claims to improve on this workload.
 Its claim verdict is ``gain`` only when the change wins at least nine tenths
-of the pairs (ties count for neither side) and the medians differ, in the
-better direction, by more than the parent's interquartile distance.
+of the pairs (ties count for neither side), the medians differ, in the
+better direction, by more than the parent's interquartile distance, and the
+failed operations pass.
 
 ``--trace`` adds one ``--trace 1`` run per side at seed 0, for the per-layer
-split. The workload's entry replaces any earlier entry for it in ``--out``;
-entries for other workloads are kept, so one file can collect several runs
-of this script. The standard library is all it needs.
+split. Each invocation appends one round to the workload's list in ``--out``,
+with both checkouts' git commits and the environment, and keeps every round
+written before. The standard library is all it needs.
 """
 from __future__ import annotations
 
@@ -79,13 +83,33 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
             "pairs": len(parent), "relative_spread": spread, "verdict": verdict}
 
 
-def claim_verdict(summary: dict) -> str:
-    """``gain`` when the change wins 9/10 of the pairs by more than the parent's IQR."""
+def failures_verdict(failed: dict) -> str:
+    """``fail`` when the change fails a larger share of its operations."""
+    share = {side: f["failed"] / f["attempted"] for side, f in failed.items()}
+    return "pass" if share["change"] <= share["parent"] else "fail"
+
+
+def claim_verdict(summary: dict, failed: dict) -> str:
+    """``gain`` when the change wins 9/10 of the pairs by more than the parent's
+    IQR and fails no larger share of operations."""
     gap = summary["change"]["median"] - summary["parent"]["median"]
     if summary["better"] == "lower":
         gap = -gap
     won = 10 * summary["change_wins"] >= 9 * summary["pairs"]
-    return "gain" if won and gap > summary["parent_iqr"] else "no gain"
+    gained = won and gap > summary["parent_iqr"] and failures_verdict(failed) == "pass"
+    return "gain" if gained else "no gain"
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's git HEAD, marked ``-dirty`` when tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float,
@@ -125,6 +149,7 @@ def main(argv=None) -> int:
         parser.error(f"--metric must be one of {', '.join(bounds)}")
     seconds = spec["run_seconds"]
     checkouts = {"parent": opts.parent.resolve(), "change": opts.change.resolve()}
+    commits = {side: commit_of(path) for side, path in checkouts.items()}
 
     pairs, environment = [], {}
     for i in range(opts.pairs):
@@ -146,32 +171,31 @@ def main(argv=None) -> int:
     failed = {side: {"failed": sum(p[side]["failed"] for p in pairs),
                      "attempted": sum(p[side]["attempted"] for p in pairs)}
               for side in SIDES}
-    share = {side: f["failed"] / f["attempted"] for side, f in failed.items()}
     entry = {
         "command": (f"python3 perfbench/run.py --workload {opts.workload} --seed N "
                     f"--seconds {seconds:g} --trace 0, in each checkout"),
+        "commits": commits,
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
         "metrics": metrics,
-        "failed_operations": {**failed, "verdict": "pass" if share["change"]
-                              <= share["parent"] else "fail"},
+        "failed_operations": {**failed, "verdict": failures_verdict(failed)},
     }
     if opts.metric is not None:
         entry["claim"] = {"metric": opts.metric,
-                          "verdict": claim_verdict(metrics[opts.metric])}
+                          "verdict": claim_verdict(metrics[opts.metric], failed)}
     if opts.trace:
         entry["trace"] = {}
         for side in SIDES:
             run = run_benchmark(checkouts[side], opts.workload, 0, seconds, 1)
             environment = run.pop("environment")
             entry["trace"][side] = run
+    entry["environment"] = environment
 
     try:
         document = json.loads(opts.out.read_text(encoding="utf-8"))
     except FileNotFoundError:
         document = {"produced_by": __doc__.splitlines()[0], "workloads": {}}
-    document["environment"] = environment
-    document["workloads"][opts.workload] = entry
+    document["workloads"].setdefault(opts.workload, []).append(entry)
     opts.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     for name, m in metrics.items():
         print(f"{opts.workload} {name}: parent {m['parent']['median']:.6g} change "
