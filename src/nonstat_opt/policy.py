@@ -121,18 +121,15 @@ class AdaptiveStep(StepPolicy):
         self.m = float(m)
         self.estimator = estimator
 
-    def _step(self) -> float:
-        denom = self.estimator.denominator(self.m)
-        if denom <= 0 or not math.isfinite(denom):
-            raise ValueError("degenerate stepsize denominator")
-        return self.c / denom
-
     def init(self, oracle, x1: np.ndarray) -> None:
         g = oracle.query(x1, 1)
         self.estimator.initialize(g)
 
     def stepsize(self, k: int) -> float:
-        return self._step()
+        denom = self.estimator.denominator(self.m)
+        if denom <= 0 or not math.isfinite(denom):
+            raise ValueError("degenerate stepsize denominator")
+        return self.c / denom
 
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         self.estimator.update(g)
@@ -147,7 +144,7 @@ class AdaptiveStep(StepPolicy):
 
 
 # perfbench/tracer.py times ``stepsize``, ``init`` and ``observe`` as found in
-# each policy class's own __dict__, so this class defines all three itself.
+# each policy class's own __dict__, so this class binds all three in its body.
 class PairedAdaptiveStep(AdaptiveStep):
     """eta_k = c / (sigma_hat_k + m) fed by independent same-point pairs.
 
@@ -166,8 +163,7 @@ class PairedAdaptiveStep(AdaptiveStep):
         g, g2 = oracle.query_pair(x1, 1)
         self.estimator.initialize(g, g2)
 
-    def stepsize(self, k: int) -> float:
-        return self._step()
+    stepsize = AdaptiveStep.stepsize
 
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         self.estimator.update(g, g2)

@@ -82,10 +82,12 @@ def _reference_quadratic(radius: float = 1.0):
     return make_quadratic(seed=0, dim=40, n=80, radius=radius, cond=1e6)
 
 
-def _run_seeds(problem, schedule, name, seeds, overrides=None):
-    """Yield each seed's record, each run with its own oracle and policy; the
-    runner records an aborted run as failed. Records are not kept, so a suite
+def _finals(problem, schedule, name, seeds, overrides=None,
+            metric=lambda rec: rec.final_metric) -> np.ndarray:
+    """Each seed's ``metric`` of its run's record, a failed run's as inf: the one
+    seam between the suites and their runs. Records are not kept, so a suite
     holds one run's traces at a time."""
+    values = []
     for seed in seeds:
         oracle = Oracle(problem, schedule, seed=seed)
         policy = pol.POLICIES[name](problem, schedule, overrides or {})
@@ -95,13 +97,9 @@ def _run_seeds(problem, schedule, name, seeds, overrides=None):
             runner = run_convex
         else:
             runner = run_nonconvex
-        yield runner(oracle, policy)
-
-
-def _finals(problem, schedule, name, seeds, overrides=None) -> np.ndarray:
-    """Each seed's final metric, a failed run's as inf: the seeds -> finals seam."""
-    return np.array([math.inf if rec.failed else rec.final_metric
-                     for rec in _run_seeds(problem, schedule, name, seeds, overrides)])
+        rec = runner(oracle, policy)
+        values.append(math.inf if rec.failed else metric(rec))
+    return np.array(values)
 
 
 def _median(problem, schedule, name, seeds, overrides=None) -> float:
@@ -254,8 +252,9 @@ def suite_nonconvex() -> SuiteResult:
     sched = NoiseSchedule.piecewise_linear(T, 0.3)
     delta = problem.initial_gap()
     seeds = range(30)
-    worst = max(float(rec.stepsizes.max()) for rec in _run_seeds(
-        problem, sched, "variance_adaptive", seeds))
+    # an over-cap step aborts its run before it is recorded, so it reads as inf
+    worst = _finals(problem, sched, "variance_adaptive", seeds,
+                    metric=lambda rec: rec.stepsizes.max()).max()
     return SuiteResult("nonconvex", (
         *(_mean_under_bound(f"{pol_name}-stationarity", problem, sched, pol_name,
                             seeds, 1.2, delta=delta)

@@ -1,5 +1,6 @@
-"""The verdicts tools/bench_pairs.py writes, on synthetic samples."""
+"""The verdicts and rounds tools/bench_pairs.py writes, on synthetic samples."""
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -46,3 +47,43 @@ def test_claim_and_bound_verdicts():
     assert s["relative_spread"] > 0.25 and s["verdict"] == "unresolved"
     assert bench_pairs.summarize(wide, [2.0, 2.5, 2.9, 1.5, 2.2],
                                  "lower", 0.25)["verdict"] == "pass"
+
+
+def test_every_run_keeps_its_start_load(tmp_path, monkeypatch):
+    """main writes each run's loadavg_start into that run, not only the last
+    run's environment into the round."""
+    spec = {"run_seconds": 1, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "iters_per_s", "better": "higher", "bound": 0.25}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def run_benchmark(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed, trace))
+        load = [float(len(calls)), 0.5, 0.25]
+        wall = 2.0 if checkout.name == "change" else 4.0
+        return {"metrics": {"wall_s": wall, "iters_per_s": 1000.0 / wall},
+                "attempted": 4, "failed": 0, "correct": 4,
+                "environment": {"nproc": 2, "loadavg_start": load}}
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: checkout.name)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--metric", "wall_s", "--pairs", "3",
+                             "--first-seed", "5", "--trace", "--out", str(out)]) == 0
+    assert calls == [("parent", 5, 0), ("change", 5, 0), ("change", 6, 0),
+                     ("parent", 6, 0), ("parent", 7, 0), ("change", 7, 0),
+                     ("parent", 0, 1), ("change", 0, 1)]
+    (entry,) = json.loads(out.read_text())["workloads"]["w"]
+    # the nth call started under load n; the change runs first in odd pairs
+    assert [[pair[side]["loadavg_start"][0] for side in bench_pairs.SIDES]
+            for pair in (*entry["pairs"], entry["trace"])] == \
+        [[1.0, 2.0], [4.0, 3.0], [5.0, 6.0], [7.0, 8.0]]
+    assert "environment" not in entry["pairs"][0]["parent"]
+    assert entry["environment"] == {"nproc": 2, "loadavg_start": [8.0, 0.5, 0.25]}
+    assert entry["commits"] == {"parent": "parent", "change": "change"}
+    assert entry["metrics"]["wall_s"]["verdict"] == "pass"
+    assert entry["claim"] == {"metric": "wall_s", "verdict": "gain"}

@@ -3,6 +3,7 @@ import ctypes
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
 import re
@@ -18,7 +19,9 @@ from nonstat_opt import NoiseSchedule, cli, runner, suboptimality_bound, verify
 from nonstat_opt.cli import (CSV_HEADER, SCHEMA, TRAJECTORY_HEADER,
                              ExperimentConfig, build_parser, build_problem,
                              execute_run, main)
-from nonstat_opt.policy import POLICIES
+from nonstat_opt.estimator import VarianceEMA, default_beta
+from nonstat_opt.oracle import Oracle
+from nonstat_opt.policy import POLICIES, PairedAdaptiveStep, variance_m_base
 
 # The byte goldens below were recorded on this platform. Another BLAS kernel may
 # round a last digit differently: the SSE-only Nehalem kernel moves one
@@ -494,8 +497,9 @@ class TestVerifyCommand:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 finals = verify._finals(problem, schedule, "adaptive", [0, 1], overrides)
-                records = list(verify._run_seeds(problem, schedule, "adaptive", [0, 1],
-                                                 overrides))
+                records = [runner.run_convex(
+                    Oracle(problem, schedule, seed=seed),
+                    POLICIES["adaptive"](problem, schedule, overrides)) for seed in (0, 1)]
             assert finals.tolist() == [np.inf, np.inf]
             assert [rec.failure_reason for rec in records] == [reason, reason]
         # every idealized run overflows; the bound of its steps was read back
@@ -507,6 +511,50 @@ class TestVerifyCommand:
                                             NoiseSchedule.custom([1e-200] * 60),
                                             "idealized", [0, 1], 1.1)
         assert not crit.passed and crit.measured == np.inf
+
+    def test_failed_runs_fail_every_criterion(self, monkeypatch):
+        """With every run failed, no criterion that reads runs passes: each
+        reads its runs through verify._finals, the largest-step cap included."""
+        def failed(oracle, policy):
+            return runner.RunRecord(stepsizes=np.zeros(oracle.schedule.horizon),
+                                    failed=True,
+                                    failure_reason="aborted at iteration 1: injected")
+
+        for name in RUNNERS:
+            monkeypatch.setattr(verify, name, failed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results = [verify.run_suite(suite) for suite in (
+                "rates", "theorem1", "theorem2", "nonconvex", "adversarial",
+                "ordering")]
+        passed = [crit.name for result in results for crit in result.criteria
+                  if crit.passed]
+        assert sum(len(result.criteria) for result in results) == 16
+        assert passed == []
+
+    def test_over_cap_paired_rule_reads_inf(self, monkeypatch):
+        """A paired rule whose c/m exceeds 1/(2L) aborts at its first step,
+        before the step is recorded, so its largest step reads inf."""
+        problem = build_problem(ExperimentConfig.parse(
+            {"problem": {"kind": "smooth_nonconvex", "dim": 6, "seed": 1}}))
+        schedule = NoiseSchedule.piecewise_linear(50, 0.3)
+
+        def over_cap(problem, schedule, overrides):  # m without its 2cL term
+            T = schedule.horizon
+            c = 1000 * math.sqrt(2 * problem.initial_gap() / (problem.L * T))
+            return PairedAdaptiveStep(c, variance_m_base(schedule.max_level(), T),
+                                      VarianceEMA(default_beta(T)))
+
+        monkeypatch.setitem(POLICIES, "variance_adaptive", over_cap)
+        worst = verify._finals(problem, schedule, "variance_adaptive", [0, 1],
+                               metric=lambda rec: rec.stepsizes.max())
+        assert worst.tolist() == [np.inf, np.inf]
+        rec = runner.run_variance_adaptive(Oracle(problem, schedule, seed=0),
+                                           over_cap(problem, schedule, {}))
+        assert rec.failure_reason.startswith("aborted at iteration 1: stepsize ")
+        assert rec.failure_reason.endswith(f"exceeds the smoothness cap "
+                                           f"{1 / (2 * problem.L):.4g}")
+        assert not rec.stepsizes.any()
 
     def test_rates_suite_fails_on_an_infinite_median(self, monkeypatch):
         """More than half of adaptive's seeds failing at one horizon is a FAIL,
@@ -816,7 +864,7 @@ HOOKED_RUNS = {"run_convex": 6 + 2, "run_nonconvex": 6, "run_variance_adaptive":
 def hooked_runs(tmp_path_factory):
     """[runs, completed iterations] per runner, counted as perfbench/child.py
     counts them: through wrappers on the names cli and verify bind, over a
-    sweep of every policy on both problem kinds and one verify._run_seeds call."""
+    sweep of every policy on both problem kinds and one verify._finals call."""
     counts = {name: [0, 0] for name in RUNNERS}
 
     def counted(name, fn):
@@ -840,7 +888,7 @@ def hooked_runs(tmp_path_factory):
             assert main(["sweep", "--config", str(cfg)]) == 0
         quad = build_problem(ExperimentConfig.parse({}))
         schedule = NoiseSchedule.piecewise_linear(HOOK_T, 0.5)
-        assert len(list(verify._run_seeds(quad, schedule, "adaptive", [0, 1]))) == 2
+        assert len(verify._finals(quad, schedule, "adaptive", [0, 1])) == 2
     return counts
 
 

@@ -33,8 +33,9 @@ failed operations pass.
 
 ``--trace`` adds one ``--trace 1`` run per side at seed 0, for the per-layer
 split. Each invocation appends one round to the workload's list in ``--out``,
-with both checkouts' git commits and the environment, and keeps every round
-written before. The standard library is all it needs.
+with both checkouts' git commits and the last run's environment, and keeps
+every round written before; every run, traced or not, keeps the load average
+it started under as ``loadavg_start``. The standard library is all it needs.
 """
 from __future__ import annotations
 
@@ -130,6 +131,14 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float,
             "correct": result["correct"], "environment": env}
 
 
+def keep_load(run: dict) -> dict:
+    """Pop a run's environment and return it, keeping its ``loadavg_start`` in
+    the run, so each sample can be matched to the load it ran under."""
+    environment = run.pop("environment")
+    run["loadavg_start"] = environment.get("loadavg_start")
+    return environment
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -158,7 +167,7 @@ def main(argv=None) -> int:
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             run = run_benchmark(checkouts[side], opts.workload, seed, seconds, 0)
-            environment = run.pop("environment")
+            environment = keep_load(run)
             pair[side] = run
             print(f"pair {i + 1}/{opts.pairs} seed {seed} {side}: "
                   f"{json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
@@ -187,7 +196,7 @@ def main(argv=None) -> int:
         entry["trace"] = {}
         for side in SIDES:
             run = run_benchmark(checkouts[side], opts.workload, 0, seconds, 1)
-            environment = run.pop("environment")
+            environment = keep_load(run)
             entry["trace"][side] = run
     entry["environment"] = environment
 
