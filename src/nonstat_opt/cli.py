@@ -8,8 +8,8 @@ Configuration lives in a JSON file whose keys, types and defaults are stated
 once, in ``SCHEMA``; a flag, stated once in ``FLAGS``, replaces its key's value
 before the one parse that converts every value, and each command takes from
 the file only the keys ``COMMANDS`` says it reads. Sweep output is byte-exact for
-a given config: rows are emitted in sorted order, and the wall-time column
-stays zero unless timing collection is explicitly requested via ``--timings``.
+a given config: cells run in the sorted order their rows are written in, and
+the wall-time column stays zero unless ``--timings`` asks for real wall times.
 """
 from __future__ import annotations
 
@@ -239,9 +239,6 @@ class ResultRow:
     wall_time_ms: int
     failed: bool
 
-    def sort_key(self):
-        return (self.policy, self.horizon, self.alpha, self.seed)
-
     def to_csv(self) -> str:
         reg = "" if self.regret is None else _fmt(self.regret)
         return ",".join([
@@ -309,12 +306,12 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool]:
-    """All grid cells, one after another; rows come back sorted."""
+    """All grid cells, one after another, in the order their rows are written:
+    by policy, T, alpha and seed (each list's values are distinct)."""
     problem = build_problem(cfg)
     rows = [execute_run(cfg, problem, name, T, alpha, seed)[0]
-            for name in cfg.policies for T in cfg.T
-            for alpha in cfg.alpha for seed in cfg.seeds]
-    rows.sort(key=ResultRow.sort_key)
+            for name in sorted(cfg.policies) for T in sorted(cfg.T)
+            for alpha in sorted(cfg.alpha) for seed in sorted(cfg.seeds)]
     return rows, any(r.failed for r in rows)
 
 

@@ -241,14 +241,13 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
 
 
 def _nonconvex_steps(problem, kind: str, total: float, levels=1.0):
-    """Steps sqrt(2 delta / (L total)) / levels, clipped at the smoothness cap
-    1/(2L) with a warning: the guarantees require eta_k <= 1/(2L), and clipping
+    """Steps sqrt(2 delta / (L total)) / levels, clipped with a warning at the
+    guarantees' cap problem.step_cap() = 1/(2L), which needs a positive L; clipping
     keeps runs valid when the noise floor is too low for the raw formula."""
-    delta, L = problem.initial_gap(), problem.L
-    if delta <= 0 or L <= 0:
-        raise ValueError("delta and L must be positive")
+    cap, delta, L = problem.step_cap(), problem.initial_gap(), problem.L
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     etas = math.sqrt(2.0 * delta / (L * total)) / levels
-    cap = 1.0 / (2.0 * L)
     if np.any(etas > cap):
         warnings.warn(
             f"{kind} nonconvex stepsizes exceed the smoothness cap 1/(2L)={cap:.4g}; "

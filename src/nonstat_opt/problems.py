@@ -53,6 +53,12 @@ class Problem:
         """f(start) - f*, the quantity the nonconvex stepsizes are tuned to."""
         return self.value(self.start) - self.f_star
 
+    def step_cap(self) -> float:
+        """1/(2L), the largest step the non-convex guarantees allow."""
+        if self.L is None or self.L <= 0:
+            raise ValueError(f"the smoothness cap 1/(2L) needs a positive L, got {self.L}")
+        return 1.0 / (2.0 * self.L)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(dim={self.dim}, L={self.L})"
 

@@ -80,7 +80,7 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
         xbar_acc = np.zeros_like(x)
         eta_sum = 0.0
     else:
-        cap = 1.0 / (2.0 * problem.L)
+        cap = problem.step_cap()  # before init, so a bad L draws no query
         reservoir = WeightedIndexReservoir(np.random.default_rng([seed, _SAMPLER_SALT]))
     with np.errstate(over="ignore", invalid="ignore"):
         policy.init(oracle, x)
@@ -135,10 +135,8 @@ def run_convex(oracle, policy, trace_values: bool = False) -> RunRecord:
 
 
 def run_nonconvex(oracle, policy) -> RunRecord:
-    """Single-sample SGD on a smooth problem; outputs a stepsize-weighted
-    random iterate index and its squared gradient norm."""
-    if oracle.problem.L is None or oracle.problem.L <= 0:
-        raise ValueError("run_nonconvex needs a problem with a known smoothness constant")
+    """Single-sample SGD on a problem with a positive smoothness constant; outputs
+    a stepsize-weighted random iterate index and its squared gradient norm."""
     if policy.uses_pairs:
         raise ValueError("paired policies go through run_variance_adaptive")
     return _run(oracle, policy, False)

@@ -259,7 +259,7 @@ def suite_nonconvex() -> SuiteResult:
         *(_mean_under_bound(f"{pol_name}-stationarity", problem, sched, pol_name,
                             seeds, 1.2, delta=delta)
           for pol_name in ("constant", "idealized")),
-        _at_most("paired-stepsize-cap", worst, 1.0 / (2.0 * problem.L),
+        _at_most("paired-stepsize-cap", worst, problem.step_cap(),
                  enforced="on every iteration of every run")))
 
 

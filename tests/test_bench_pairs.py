@@ -87,3 +87,45 @@ def test_every_run_keeps_its_start_load(tmp_path, monkeypatch):
     assert entry["commits"] == {"parent": "parent", "change": "change"}
     assert entry["metrics"]["wall_s"]["verdict"] == "pass"
     assert entry["claim"] == {"metric": "wall_s", "verdict": "gain"}
+
+
+def test_missing_samples_fail_the_change_and_keep_the_round(tmp_path, monkeypatch):
+    """A null sample (perfbench/run.py's non-finite metric) fails its metric on
+    the change side, leaves it unresolved on the parent side alone and is no
+    gain; main still writes the round, with each side's missing count."""
+    rates = [100.0, 101.0, 99.0, 100.0]
+    s = bench_pairs.summarize(rates, [150.0, None, 151.0, 149.0], "higher", 0.25)
+    assert s["verdict"] == "fail" and s["change_wins"] == 3
+    assert (s["parent"]["missing"], s["change"]["missing"]) == (0, 1)
+    assert s["change"]["median"] == 150.0
+    assert bench_pairs.claim_verdict(s, NONE_FAILED) == "no gain"
+    s = bench_pairs.summarize([None, 101.0, 99.0, None], [150.0] * 4, "higher", 0.25)
+    assert s["verdict"] == "unresolved" and s["parent"]["missing"] == 2
+    assert bench_pairs.claim_verdict(s, NONE_FAILED) == "no gain"
+    s = bench_pairs.summarize(rates, [None] * 4, "higher", 0.25)
+    assert s["verdict"] == "fail" and s["change"]["median"] is None
+
+    spec = {"run_seconds": 1, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "iters_per_s", "better": "higher", "bound": 0.25}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_benchmark(checkout, workload, seed, seconds, trace):
+        counted = checkout.name == "parent"  # the change counts no iteration
+        return {"metrics": {"wall_s": 4.0, "iters_per_s": 250.0 if counted else None},
+                "attempted": 4, "failed": 0, "correct": 4, "environment": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: checkout.name)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--metric", "iters_per_s",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["workloads"]["w"]
+    rate = entry["metrics"]["iters_per_s"]
+    assert rate["verdict"] == "fail" and rate["change"]["samples"] == [None, None]
+    assert (rate["parent"]["missing"], rate["change"]["missing"]) == (0, 2)
+    assert entry["metrics"]["wall_s"]["verdict"] == "pass"
+    assert entry["claim"] == {"metric": "iters_per_s", "verdict": "no gain"}

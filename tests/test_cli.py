@@ -133,6 +133,29 @@ class TestSweep:
         parallel = (tmp_path / "out" / "results.csv").read_bytes()
         assert serial == parallel
 
+    def test_cells_run_in_row_order(self, tmp_path, monkeypatch):
+        """A config listing its values out of order writes the sorted config's
+        bytes, and its cells run in the order their rows are written."""
+        problem = {"kind": "quadratic", "dim": 4, "n": 12}
+        grid = {"policies": ["variance_adaptive", "constant", "adaptive"],
+                "T": [40, 30], "alpha": [0.7, 0.2], "seeds": [3, 0, 1]}
+        cfg = write_config(tmp_path, problem=problem,
+                           **{key: sorted(values) for key, values in grid.items()})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        ordered = (tmp_path / "out" / "results.csv").read_bytes()
+        cells = []
+
+        def logged(cfg, problem, name, horizon, alpha, seed, **kwargs):
+            cells.append((name, str(horizon), cli._fmt(alpha), str(seed)))
+            return execute_run(cfg, problem, name, horizon, alpha, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "execute_run", logged)
+        cfg = write_config(tmp_path, problem=problem, **grid)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "results.csv").read_bytes() == ordered
+        rows = [tuple(line.split(",")[1:5]) for line in ordered.decode().splitlines()[1:]]
+        assert len(cells) == 3 * 2 * 2 * 3 and cells == rows
+
     def test_query_accounting_in_rows(self, tmp_path):
         cfg = write_config(tmp_path, seeds=[0])
         main(["sweep", "--config", str(cfg)])

@@ -9,9 +9,9 @@ from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, PairedAdaptiveStep,
                          bound_constant, constant_baseline, idealized_baseline,
                          make_adaptive, make_quadratic, make_smooth_nonconvex,
                          make_variance_adaptive, nonconvex_constant_baseline,
-                         run_convex, run_estimation_only, run_nonconvex,
-                         run_variance_adaptive)
-from nonstat_opt.policy import POLICIES
+                         nonconvex_idealized_baseline, run_convex,
+                         run_estimation_only, run_nonconvex, run_variance_adaptive)
+from nonstat_opt.policy import POLICIES, AdaptiveStep
 from nonstat_opt.problems import Quadratic
 
 
@@ -319,6 +319,23 @@ class TestNonconvexRun:
         assert 1 <= rec.sampled_index <= T
         assert rec.final_metric == rec.grad_norm_sq[rec.sampled_index - 1]
         assert rec.oracle_queries == T
+
+    @pytest.mark.parametrize("L", [None, 0.0])
+    @pytest.mark.parametrize("reader", [
+        lambda oracle: nonconvex_constant_baseline(oracle.problem, oracle.schedule),
+        lambda oracle: nonconvex_idealized_baseline(oracle.problem, oracle.schedule),
+        # the estimator's seed draw in init would be a query before the cap
+        lambda oracle: run_nonconvex(oracle, AdaptiveStep(0.1, 1.0, SecondMomentEMA(0.9))),
+    ], ids=["constant_baseline", "idealized_baseline", "run_nonconvex"])
+    def test_cap_needs_a_positive_smoothness_constant(self, reader, L):
+        """Every reader of problem.step_cap() rejects a problem without a
+        positive L with a ValueError, before any oracle query."""
+        prob = make_smooth_nonconvex(4, radius=1.0, seed=0)
+        prob.L = L
+        oracle = Oracle(prob, NoiseSchedule.piecewise_linear(20, 0.3), seed=0)
+        with pytest.raises(ValueError, match="positive L"):
+            reader(oracle)
+        assert oracle.query_count == 0
 
 
 class TestReservoir:

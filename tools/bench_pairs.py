@@ -22,6 +22,12 @@ verdict against the metric's bound:
   every parent sample;
 - ``pass``: otherwise.
 
+perfbench/run.py reports a metric it could not measure (say ``iters_per_s``
+when no process counted an iteration) as ``null``. A null sample makes its
+metric's verdict ``fail`` when the change reports it, ``unresolved`` when
+only the parent does, and a claim on that metric ``no gain``; each side's
+statistics cover its samples present, and its ``missing`` counts the rest.
+
 The failed operations of all pairs pass when the change's share of them is
 no larger than the parent's.
 
@@ -60,27 +66,40 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4)
 
 
+def describe(values: list) -> dict:
+    """One side's samples, its count of missing (null) ones, and the median and
+    quartiles of the rest (null when none is left)."""
+    present = [v for v in values if v is not None]
+    q1, _, q3 = quartiles(present) if present else (None, None, None)
+    return {"samples": values, "missing": len(values) - len(present),
+            "median": statistics.median(present) if present else None,
+            "quartiles": [q1, q3], "iqr": q3 - q1 if present else None}
+
+
 def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     """Both sides' samples of one metric, paired by index, and its verdict."""
-    sides = {}
-    for side, values in zip(SIDES, (parent, change)):
-        q1, _, q3 = quartiles(values)
-        sides[side] = {"samples": values, "median": statistics.median(values),
-                       "quartiles": [q1, q3], "iqr": q3 - q1}
+    sides = {side: describe(values) for side, values in zip(SIDES, (parent, change))}
     p_med, c_med = sides["parent"]["median"], sides["change"]["median"]
-    worse_by = (c_med - p_med if better == "lower" else p_med - c_med) / p_med
-    spread = max(s["iqr"] / abs(s["median"]) for s in sides.values())
-    if worse_by > bound:
+    ratio = spread = None
+    if sides["change"]["missing"]:
         verdict = "fail"
-    elif spread > bound and not all(better_than(c, p, better)
-                                    for c in change for p in parent):
+    elif sides["parent"]["missing"]:
         verdict = "unresolved"
     else:
-        verdict = "pass"
+        ratio = c_med / p_med
+        worse_by = (c_med - p_med if better == "lower" else p_med - c_med) / p_med
+        spread = max(s["iqr"] / abs(s["median"]) for s in sides.values())
+        if worse_by > bound:
+            verdict = "fail"
+        elif spread > bound and not all(better_than(c, p, better)
+                                        for c in change for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "pass"
     return {"better": better, "bound": bound, **sides,
-            "parent_iqr": sides["parent"]["iqr"],
-            "change_over_parent": c_med / p_med,
-            "change_wins": sum(better_than(c, p, better) for p, c in zip(parent, change)),
+            "parent_iqr": sides["parent"]["iqr"], "change_over_parent": ratio,
+            "change_wins": sum(None not in (p, c) and better_than(c, p, better)
+                               for p, c in zip(parent, change)),
             "pairs": len(parent), "relative_spread": spread, "verdict": verdict}
 
 
@@ -92,7 +111,9 @@ def failures_verdict(failed: dict) -> str:
 
 def claim_verdict(summary: dict, failed: dict) -> str:
     """``gain`` when the change wins 9/10 of the pairs by more than the parent's
-    IQR and fails no larger share of operations."""
+    IQR, fails no larger share of operations and misses no sample."""
+    if summary["parent"]["missing"] or summary["change"]["missing"]:
+        return "no gain"
     gap = summary["change"]["median"] - summary["parent"]["median"]
     if summary["better"] == "lower":
         gap = -gap
@@ -207,9 +228,10 @@ def main(argv=None) -> int:
     document["workloads"].setdefault(opts.workload, []).append(entry)
     opts.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     for name, m in metrics.items():
-        print(f"{opts.workload} {name}: parent {m['parent']['median']:.6g} change "
-              f"{m['change']['median']:.6g} wins {m['change_wins']}/{m['pairs']} "
-              f"{m['verdict']}")
+        medians = [f"{side} {m[side]['median']:.6g}" if m[side]["median"] is not None
+                   else f"{side} null" for side in SIDES]
+        print(f"{opts.workload} {name}: {' '.join(medians)} wins "
+              f"{m['change_wins']}/{m['pairs']} {m['verdict']}")
     if "claim" in entry:
         print(f"claim {opts.metric}: {entry['claim']['verdict']}")
     return 0
