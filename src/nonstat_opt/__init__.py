@@ -12,8 +12,8 @@ from .policy import (AdaptiveStep, FixedStep, PairedAdaptiveStep,
                      idealized_baseline, make_adaptive, make_variance_adaptive,
                      nonconvex_constant_baseline, nonconvex_idealized_baseline,
                      variance_m_base)
-from .runner import (RunRecord, WeightedIndexReservoir, run_convex,
-                     run_estimation_only, run_nonconvex, run_variance_adaptive)
+from .runner import (RunRecord, run_convex, run_estimation_only, run_nonconvex,
+                     run_variance_adaptive, weighted_index)
 from .analysis import (BoundReport, SlopeFit, adaptive_bound,
                        adaptive_stationarity_bound, bound_constant,
                        bound_idealized, bound_report, classify_regime,

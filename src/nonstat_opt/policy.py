@@ -129,7 +129,9 @@ class AdaptiveStep(StepPolicy):
         denom = self.estimator.denominator(self.m)
         if denom <= 0 or not math.isfinite(denom):
             raise ValueError("degenerate stepsize denominator")
-        return self.c / denom
+        if (eta := self.c / denom) == 0.0:
+            raise ValueError(f"stepsize {self.c:.4g} / {denom:.4g} underflows to 0")
+        return eta
 
     def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
         self.estimator.update(g)

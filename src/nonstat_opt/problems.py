@@ -15,14 +15,14 @@ def power_iteration(matrix: np.ndarray, tol: float = 1e-12,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
-    lam = 0.0
+    lam, w = 0.0, matrix @ v
     for _ in range(max_iter):
-        w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        new_lam = float(v @ (matrix @ v))
+        w = matrix @ v  # the Rayleigh quotient's product is the next step's w
+        new_lam = float(v @ w)
         if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
             return new_lam
         lam = new_lam

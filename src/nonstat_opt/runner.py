@@ -1,9 +1,9 @@
 """Optimization loop execution and trajectory records.
 
-A run owns its oracle, policy and (for index sampling) generator, so many
-runs can execute concurrently without sharing mutable state. Iterate vectors
-are never retained: the stepsize-weighted average is accumulated online and
-the nonconvex output index is drawn by weighted reservoir sampling.
+A run owns its oracle and policy, so many runs can execute concurrently
+without sharing mutable state. Iterate vectors are never retained: the
+stepsize-weighted average is accumulated online, and the nonconvex output
+index is drawn after the loop from the recorded stepsizes.
 """
 from __future__ import annotations
 
@@ -38,18 +38,11 @@ class RunRecord:
     horizon: int | None = None
 
 
-class WeightedIndexReservoir:
-    """Online draw of an index with probability proportional to its weight."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self.total = 0.0
-        self.index: int | None = None
-
-    def offer(self, index: int, weight: float) -> None:
-        self.total += weight
-        if self._rng.random() * self.total < weight:
-            self.index = index
+def weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
+    """Index k in 1..n with probability weights[k-1] / sum(weights), weights[0] > 0:
+    the last k with u_k * (w_1 + ... + w_k) < w_k, the online reservoir rule."""
+    hits = np.flatnonzero(rng.random(len(weights)) * np.cumsum(weights) < weights)
+    return int(hits[-1]) + 1
 
 
 def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecord:
@@ -61,11 +54,13 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
     the estimator's value (read by the ``regret`` column). ``averaged``
     selects the output: the stepsize-weighted average of the query points
     x_1..x_T, or a stepsize-weighted random index with eta_k <= 1/(2L)
-    enforced. ``trace_values`` adds the f(x_k) - f* trace of an averaged run,
-    one value() call per iteration; only ``run``'s trajectory file reads it.
+    enforced; both read the recorded steps after the loop, summed by cumsum,
+    in order as online sums add (``sum`` is pairwise and moves the bits).
+    ``trace_values`` adds the f(x_k) - f* trace of an averaged run, one
+    value() call per iteration; only ``run``'s trajectory file reads it.
     eta_k is fixed before g_k is drawn. A ValueError in the loop (the cap, a
-    degenerate denominator, a non-finite iterate) ends the run as a failed
-    record, "aborted at iteration k: <cause>", that keeps its queries.
+    degenerate denominator, a step of 0, a non-finite iterate) ends the run as
+    a failed record, "aborted at iteration k: <cause>", that keeps its queries.
     """
     problem, T, seed = oracle.problem, oracle.schedule.horizon, oracle.seed
     grad_sq = np.zeros(T)
@@ -73,15 +68,13 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
                        squared_trace=isinstance(policy.estimator, SquaredNorms))
     if policy.estimator is not None:
         record.estimator_trace = np.zeros(T)
-    x = problem.start.astype(float).copy()
+    x = problem.start.astype(float)
     if averaged:
         if trace_values:
             record.suboptimality = np.zeros(T)
         xbar_acc = np.zeros_like(x)
-        eta_sum = 0.0
     else:
         cap = problem.step_cap()  # before init, so a bad L draws no query
-        reservoir = WeightedIndexReservoir(np.random.default_rng([seed, _SAMPLER_SALT]))
     with np.errstate(over="ignore", invalid="ignore"):
         policy.init(oracle, x)
         try:
@@ -97,9 +90,6 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
                     record.suboptimality[k - 1] = problem.value(x) - problem.f_star
                 if averaged:
                     xbar_acc += eta * x
-                    eta_sum += eta
-                else:
-                    reservoir.offer(k, eta)
                 if policy.uses_pairs:
                     g1, g2, true_grad = oracle.query_pair(x, k, with_true=True)
                     policy.observe(g1, g2)
@@ -118,11 +108,12 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
     if record.failed:
         return record
     if averaged:
-        record.x_bar = xbar_acc / eta_sum
+        record.x_bar = xbar_acc / np.cumsum(record.stepsizes)[-1]
         record.final_metric = problem.value(record.x_bar) - problem.f_star
     else:
-        record.sampled_index = reservoir.index
-        record.final_metric = float(grad_sq[reservoir.index - 1])
+        rng = np.random.default_rng([seed, _SAMPLER_SALT])
+        record.sampled_index = weighted_index(rng, record.stepsizes)
+        record.final_metric = float(grad_sq[record.sampled_index - 1])
     return record
 
 

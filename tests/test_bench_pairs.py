@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -47,6 +49,22 @@ def test_claim_and_bound_verdicts():
     assert s["relative_spread"] > 0.25 and s["verdict"] == "unresolved"
     assert bench_pairs.summarize(wide, [2.0, 2.5, 2.9, 1.5, 2.2],
                                  "lower", 0.25)["verdict"] == "pass"
+
+
+def test_paired_ratio_is_reported_over_pairs_with_both_samples():
+    """Each pair's change/parent ratio, skipping a pair with a null side; the
+    ratios' median and quartiles are reported and no verdict reads them."""
+    parent = [100.0, 200.0, None, 400.0, 100.0, 50.0]
+    change = [110.0, 180.0, 300.0, 480.0, 90.0, 60.0]
+    s = bench_pairs.summarize(parent, change, "higher", 0.25)
+    # the five pairs with both samples, in pair order
+    assert s["paired_ratio"]["samples"] == [1.1, 0.9, 1.2, 0.9, 1.2]
+    assert s["paired_ratio"]["median"] == 1.1
+    assert s["paired_ratio"]["quartiles"] == pytest.approx([0.9, 1.2])
+    # the parent's null still decides the verdict, as before
+    assert s["verdict"] == "unresolved" and s["change_over_parent"] is None
+    none = bench_pairs.summarize([None] * 2, [1.0, 2.0], "higher", 0.25)["paired_ratio"]
+    assert none["samples"] == [] and none["median"] is None
 
 
 def test_every_run_keeps_its_start_load(tmp_path, monkeypatch):

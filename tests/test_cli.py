@@ -271,6 +271,27 @@ class TestSweep:
         failed = [q for q in expected.values() if q is not None]
         assert len([ln for ln in err.splitlines() if " failed: " in ln]) == len(failed)
 
+    @pytest.mark.parametrize("command", ["sweep", "run"])
+    @pytest.mark.parametrize("problem", [
+        {"kind": "smooth_nonconvex", "dim": 5},
+        {"kind": "quadratic", "dim": 5, "n": 10},
+    ], ids=["smooth_nonconvex", "quadratic"])
+    def test_step_that_underflows_to_zero_fails_its_row(self, tmp_path, capsys,
+                                                        problem, command):
+        """c / denominator rounds to 0.0 at c = 5e-324. The first step fails the
+        row: a run of zero steps has no weighted index to draw and no weighted
+        average to take (a NaN metric with a bound beside it)."""
+        cfg = write_config(tmp_path, problem=problem, policies=["adaptive"], T=[50],
+                           alpha=[0.3], seeds=[0], overrides={"c": 5e-324})
+        assert main([command, "--config", str(cfg)]) == 1
+        (row,) = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        fields = row.split(",")
+        assert fields[5] == fields[6] == "nan" and int(fields[8]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "failed: aborted at iteration 1: stepsize 4.941e-324 / " in err
+        assert err.count(" failed: ") == 1
+
     @pytest.mark.parametrize("key, values, unreached", [
         ("m", (0.0, 5.0), "variance_adaptive"),
         ("beta", (0.5, 0.9), "window"),

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, PairedAdaptiveStep,
-                         SecondMomentEMA, VarianceEMA, WeightedIndexReservoir,
-                         bound_constant, constant_baseline, idealized_baseline,
+                         SecondMomentEMA, VarianceEMA, bound_constant, constant_baseline, idealized_baseline,
                          make_adaptive, make_quadratic, make_smooth_nonconvex,
                          make_variance_adaptive, nonconvex_constant_baseline,
                          nonconvex_idealized_baseline, run_convex,
-                         run_estimation_only, run_nonconvex, run_variance_adaptive)
+                         run_estimation_only, run_nonconvex, run_variance_adaptive,
+                         weighted_index)
 from nonstat_opt.policy import POLICIES, AdaptiveStep
 from nonstat_opt.problems import Quadratic
 
@@ -338,28 +338,44 @@ class TestNonconvexRun:
         assert oracle.query_count == 0
 
 
+def online_reservoir_index(rng, weights):
+    """The sequential rule weighted_index replays: one uniform per offer, and
+    index k replaces the pick when u * (running total) < w_k."""
+    total, index = 0.0, None
+    for k, weight in enumerate(weights, start=1):
+        total += weight
+        if rng.random() * total < weight:
+            index = k
+    return index
+
+
+class Uniforms:
+    """Given uniforms, served one at a time (``random()``) or as a block."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        block, self.values = self.values[:size], self.values[size:]
+        return np.array(block)
+
+
 class TestReservoir:
     def test_uniform_weights_sample_uniformly(self):
         rng = np.random.default_rng(11)
         n, draws = 5, 100_000
         counts = np.zeros(n)
         for _ in range(draws):
-            res = WeightedIndexReservoir(rng)
-            for k in range(1, n + 1):
-                res.offer(k, 1.0)
-            counts[res.index - 1] += 1
+            counts[weighted_index(rng, np.ones(n)) - 1] += 1
         chi2 = float(((counts - draws / n) ** 2 / (draws / n)).sum())
         assert chi2 <= 18.46682695290317  # 0.999 quantile of chi-square, df = n - 1 = 4
 
     def test_two_to_one_odds(self):
         rng = np.random.default_rng(12)
         draws = 100_000
-        hits = 0
-        for _ in range(draws):
-            res = WeightedIndexReservoir(rng)
-            res.offer(1, 1.0)
-            res.offer(2, 3.0)
-            hits += res.index == 1
+        hits = sum(weighted_index(rng, np.array([1.0, 3.0])) == 1 for _ in range(draws))
         p_hat = hits / draws
         se = math.sqrt(0.25 * 0.75 / draws)
         assert abs(p_hat - 0.25) <= 5 * se
@@ -370,13 +386,37 @@ class TestReservoir:
         draws = 60_000
         counts = np.zeros(weights.size)
         for _ in range(draws):
-            res = WeightedIndexReservoir(rng)
-            for k, w in enumerate(weights, start=1):
-                res.offer(k, float(w))
-            counts[res.index - 1] += 1
+            counts[weighted_index(rng, weights) - 1] += 1
         expected = draws * weights / weights.sum()
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 <= 16.26623619623813  # 0.999 quantile of chi-square, df = 4 - 1 = 3
+
+    def test_replays_the_online_rule_bit_for_bit(self):
+        """Same index as the sequential rule on the same stream, over weights
+        spanning ten decades, where a pairwise sum or an inverse-CDF draw
+        would pick differently; the stream ends at the same state."""
+        shape = np.random.default_rng(0)
+        for seed in range(300):
+            n = int(shape.integers(1, 400))
+            weights = 10.0 ** shape.uniform(-5.0, 5.0, n)
+            batch, online = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert weighted_index(batch, weights) == \
+                online_reservoir_index(online, weights.tolist())
+            assert batch.random() == online.random()
+
+    def test_ties_and_last_bits_follow_the_online_rule(self):
+        """Uniforms at each weight's share w_k / (w_1 + ... + w_k), moved one ulp
+        down, up or not at all: where u * total ties w_k or rounds across it.
+        Power-of-two weights make the ties exact."""
+        draw = np.random.default_rng(1)
+        for case, n in enumerate(draw.integers(1, 60, 400)):
+            weights = (2.0 ** draw.integers(-8, 8, n) if case % 2
+                       else 10.0 ** draw.uniform(-5.0, 5.0, n))
+            shares = weights / np.cumsum(weights)
+            u = np.nextafter(shares, draw.choice([0.0, 1.0, 2.0], n))
+            u = np.minimum(u, np.nextafter(1.0, 0.0))  # uniforms lie in [0, 1)
+            assert weighted_index(Uniforms(u), weights) == \
+                online_reservoir_index(Uniforms(u), weights.tolist())
 
 
 def test_estimation_only_trace_semantics(quad):

@@ -12,7 +12,9 @@ parent first in even pairs and the change first in odd ones. Every run.py
 invocation reports the medians over its own processes, and those are the
 pair's samples. For every end-to-end metric of the change's
 ``BENCHMARK.json`` the script writes each side's samples, median and
-quartiles, the parent's interquartile distance, the change's wins, and a
+quartiles, the parent's interquartile distance, the change's wins, the
+change/parent ratio of each pair where both sides have a sample with those
+ratios' median and quartiles (reported only: no verdict reads them), and a
 verdict against the metric's bound:
 
 - ``fail``: the change's median is worse than the parent's by more than the
@@ -98,6 +100,8 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
             verdict = "pass"
     return {"better": better, "bound": bound, **sides,
             "parent_iqr": sides["parent"]["iqr"], "change_over_parent": ratio,
+            "paired_ratio": describe([c / p for p, c in zip(parent, change)
+                                      if None not in (p, c)]),
             "change_wins": sum(None not in (p, c) and better_than(c, p, better)
                                for p, c in zip(parent, change)),
             "pairs": len(parent), "relative_spread": spread, "verdict": verdict}
@@ -230,8 +234,11 @@ def main(argv=None) -> int:
     for name, m in metrics.items():
         medians = [f"{side} {m[side]['median']:.6g}" if m[side]["median"] is not None
                    else f"{side} null" for side in SIDES]
-        print(f"{opts.workload} {name}: {' '.join(medians)} wins "
-              f"{m['change_wins']}/{m['pairs']} {m['verdict']}")
+        paired = m["paired_ratio"]
+        ratio = ("null" if paired["median"] is None else
+                 "{:.4g} [{:.4g}, {:.4g}]".format(paired["median"], *paired["quartiles"]))
+        print(f"{opts.workload} {name}: {' '.join(medians)} paired ratio {ratio} "
+              f"wins {m['change_wins']}/{m['pairs']} {m['verdict']}")
     if "claim" in entry:
         print(f"claim {opts.metric}: {entry['claim']['verdict']}")
     return 0
