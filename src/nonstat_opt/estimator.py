@@ -1,9 +1,11 @@
 """Online estimators of the gradient noise level.
 
-The exponential-moving-average estimators store the quantity in the power it
-is averaged in (squared norms for the second-moment and variance kinds, p-th
-powers for the p-norm kind) and take the root only in ``denominator``, once
-per step, so no precision is lost to repeated round trips.
+Each estimator is one per-step noise statistic, ``sample(*gs)``, and one
+average of it: ``_EMA``'s recurrence for the exponential-moving-average kinds,
+the plain mean of the last W samples for the window kind. The EMA kinds keep
+the statistic in the power it is averaged in (squared norms, or p-th powers for
+the p-norm kind, whose p = 1 is the first moment) and take the root only in
+``denominator``, once per step, so no precision is lost to repeated round trips.
 """
 from __future__ import annotations
 
@@ -13,11 +15,11 @@ from collections import deque
 import numpy as np
 
 
-# Each estimator defines its own ``update`` (perfbench/tracer.py times it per
-# kind, as found in the class's own __dict__) and ``denominator(m)``: m_hat + m.
+# Each kind states its sample and ``denominator(m)`` (m_hat + m) once and binds
+# ``_EMA.update`` in its own __dict__, where perfbench/tracer.py times it per kind.
 
 class _EMA:
-    """value tracks an exponential moving average with decay beta."""
+    """value tracks an exponential moving average of ``sample(*gs)``, decay beta."""
 
     def __init__(self, beta: float):
         beta = float(beta)
@@ -26,9 +28,19 @@ class _EMA:
         self.beta = beta
         self.value = 0.0
 
+    def initialize(self, *gs: np.ndarray) -> None:
+        self.value = self.sample(*gs)
+
+    def update(self, *gs: np.ndarray) -> None:
+        self.value = self.beta * self.value + (1.0 - self.beta) * self.sample(*gs)
+
 
 class SquaredNorms:
     """value holds squared norms, comparable to level_k^2; its root is m_hat."""
+
+    @staticmethod
+    def sample(g: np.ndarray) -> float:
+        return float(g @ g)
 
     def denominator(self, m: float) -> float:
         return math.sqrt(self.value) + m
@@ -37,39 +49,18 @@ class SquaredNorms:
 class SecondMomentEMA(_EMA, SquaredNorms):
     """value tracks an EMA of ||g||^2."""
 
-    def initialize(self, g: np.ndarray) -> None:
-        self.value = float(g @ g)
-
-    def update(self, g: np.ndarray) -> None:
-        self.value = self.beta * self.value + (1.0 - self.beta) * float(g @ g)
-
-
-class FirstMomentEMA(_EMA):
-    """value tracks an EMA of ||g||."""
-
-    def initialize(self, g: np.ndarray) -> None:
-        self.value = float(np.linalg.norm(g))
-
-    def update(self, g: np.ndarray) -> None:
-        self.value = self.beta * self.value + (1.0 - self.beta) * float(np.linalg.norm(g))
-
-    def denominator(self, m: float) -> float:
-        return self.value + m
+    update = _EMA.update
 
 
 class VarianceEMA(_EMA, SquaredNorms):
     """value tracks an EMA of ||g - g'||^2 / 2 over independent same-point pairs."""
 
     @staticmethod
-    def _sample(g: np.ndarray, g2: np.ndarray) -> float:
+    def sample(g: np.ndarray, g2: np.ndarray) -> float:
         d = g - g2
         return float(d @ d) / 2.0
 
-    def initialize(self, g: np.ndarray, g2: np.ndarray) -> None:
-        self.value = self._sample(g, g2)
-
-    def update(self, g: np.ndarray, g2: np.ndarray) -> None:
-        self.value = self.beta * self.value + (1.0 - self.beta) * self._sample(g, g2)
+    update = _EMA.update
 
 
 class PowerEMA(_EMA):
@@ -81,15 +72,22 @@ class PowerEMA(_EMA):
         super().__init__(beta)
         self.p = float(p)
 
-    def initialize(self, g: np.ndarray) -> None:
-        self.value = float(np.linalg.norm(g) ** self.p)
+    def sample(self, g: np.ndarray) -> float:
+        return float(np.linalg.norm(g) ** self.p)
 
-    def update(self, g: np.ndarray) -> None:
-        s = float(np.linalg.norm(g) ** self.p)
-        self.value = self.beta * self.value + (1.0 - self.beta) * s
+    update = _EMA.update
 
     def denominator(self, m: float) -> float:
         return float((self.value + np.float64(m) ** self.p) ** (1.0 / self.p))
+
+
+class FirstMomentEMA(PowerEMA):
+    """value tracks an EMA of ||g||: PowerEMA at p = 1, where x ** 1.0 == x."""
+
+    def __init__(self, beta: float):
+        super().__init__(beta, 1.0)
+
+    update = _EMA.update
 
 
 class WindowAverage(SquaredNorms):
@@ -152,10 +150,10 @@ class WindowAverage(SquaredNorms):
 
     def initialize(self, g: np.ndarray) -> None:
         self._clear()
-        self.push_sample(float(g @ g))
+        self.push_sample(self.sample(g))
 
     def update(self, g: np.ndarray) -> None:
-        self.push_sample(float(g @ g))
+        self.push_sample(self.sample(g))
 
 
 def default_beta(horizon: int) -> float:

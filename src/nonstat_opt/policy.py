@@ -72,7 +72,7 @@ class StepPolicy:
     def stepsize(self, k: int) -> float:
         raise NotImplementedError
 
-    def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
+    def observe(self, *gs: np.ndarray) -> None:
         """Feed the gradient(s) realised at the current iteration."""
 
     def bound(self, problem, schedule, bound_const: float) -> float:
@@ -122,8 +122,7 @@ class AdaptiveStep(StepPolicy):
         self.estimator = estimator
 
     def init(self, oracle, x1: np.ndarray) -> None:
-        g = oracle.query(x1, 1)
-        self.estimator.initialize(g)
+        self.estimator.initialize(oracle.query(x1, 1))
 
     def stepsize(self, k: int) -> float:
         denom = self.estimator.denominator(self.m)
@@ -133,8 +132,8 @@ class AdaptiveStep(StepPolicy):
             raise ValueError(f"stepsize {self.c:.4g} / {denom:.4g} underflows to 0")
         return eta
 
-    def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
-        self.estimator.update(g)
+    def observe(self, *gs: np.ndarray) -> None:
+        self.estimator.update(*gs)
 
     def bound(self, problem, schedule, bound_const: float) -> float:
         """The rate bound at this policy's correction m, whatever steps it takes."""
@@ -162,13 +161,10 @@ class PairedAdaptiveStep(AdaptiveStep):
         super().__init__(c, m, estimator)
 
     def init(self, oracle, x1: np.ndarray) -> None:
-        g, g2 = oracle.query_pair(x1, 1)
-        self.estimator.initialize(g, g2)
+        self.estimator.initialize(*oracle.query_pair(x1, 1))
 
     stepsize = AdaptiveStep.stepsize
-
-    def observe(self, g: np.ndarray, g2: np.ndarray | None = None) -> None:
-        self.estimator.update(g, g2)
+    observe = AdaptiveStep.observe
 
 
 # -- factories --------------------------------------------------------------
@@ -229,8 +225,7 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
     nonconvex ones. The correction m = m_base + 2cL caps every stepsize
     c/(sigma_hat + m) at 1/(2L).
     """
-    if problem.L is None or problem.L <= 0:
-        raise ValueError("variance-adaptive policy needs a positive smoothness constant")
+    problem.step_cap()  # rejects an L that is None or not positive
     if c is None:
         if problem.convex:
             c = problem.radius / math.sqrt(horizon)

@@ -92,19 +92,60 @@ def test_every_run_keeps_its_start_load(tmp_path, monkeypatch):
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                              "--workload", "w", "--metric", "wall_s", "--pairs", "3",
                              "--first-seed", "5", "--trace", "--out", str(out)]) == 0
+    # three traced runs per side follow the pairs, alternating as the pairs do
     assert calls == [("parent", 5, 0), ("change", 5, 0), ("change", 6, 0),
                      ("parent", 6, 0), ("parent", 7, 0), ("change", 7, 0),
-                     ("parent", 0, 1), ("change", 0, 1)]
+                     ("parent", 0, 1), ("change", 0, 1), ("change", 1, 1),
+                     ("parent", 1, 1), ("parent", 2, 1), ("change", 2, 1)]
     (entry,) = json.loads(out.read_text())["workloads"]["w"]
     # the nth call started under load n; the change runs first in odd pairs
     assert [[pair[side]["loadavg_start"][0] for side in bench_pairs.SIDES]
-            for pair in (*entry["pairs"], entry["trace"])] == \
-        [[1.0, 2.0], [4.0, 3.0], [5.0, 6.0], [7.0, 8.0]]
+            for pair in (*entry["pairs"], *entry["trace"]["runs"])] == \
+        [[1.0, 2.0], [4.0, 3.0], [5.0, 6.0], [7.0, 8.0], [10.0, 9.0], [11.0, 12.0]]
+    assert [r["seed"] for r in entry["trace"]["runs"]] == [0, 1, 2]
     assert "environment" not in entry["pairs"][0]["parent"]
-    assert entry["environment"] == {"nproc": 2, "loadavg_start": [8.0, 0.5, 0.25]}
+    assert "environment" not in entry["trace"]["runs"][0]["change"]
+    assert entry["environment"] == {"nproc": 2, "loadavg_start": [12.0, 0.5, 0.25]}
     assert entry["commits"] == {"parent": "parent", "change": "change"}
     assert entry["metrics"]["wall_s"]["verdict"] == "pass"
     assert entry["claim"] == {"metric": "wall_s", "verdict": "gain"}
+
+
+def test_a_layer_is_described_over_the_three_traced_runs(tmp_path, monkeypatch):
+    """Each per-layer metric is reported per side as the median and quartiles
+    of its three traced runs, in seed order, so one outlying run moves the
+    median no further than the middle run."""
+    spec = {"run_seconds": 1, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    # oracle.self_us by (side, traced seed); parent seed 1 is an outlier
+    oracle = {("parent", 0): 5.0, ("parent", 1): 9.0, ("parent", 2): 4.0,
+              ("change", 0): 4.5, ("change", 1): 5.5, ("change", 2): None}
+
+    def run_benchmark(checkout, workload, seed, seconds, trace):
+        metrics = ({"oracle.self_us": oracle[checkout.name, seed], "runner.iters": 100}
+                   if trace else {"wall_s": 1.0})
+        return {"metrics": metrics, "attempted": 1, "failed": 0, "correct": 1,
+                "environment": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: checkout.name)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--pairs", "1", "--trace",
+                             "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["workloads"]["w"]
+    layers = entry["trace"]["per_layer"]
+    assert set(layers) == {"oracle.self_us", "runner.iters"}
+    parent, change = layers["oracle.self_us"]["parent"], layers["oracle.self_us"]["change"]
+    assert parent["samples"] == [5.0, 9.0, 4.0] and parent["median"] == 5.0
+    assert parent["quartiles"] == pytest.approx([4.0, 9.0])
+    # a null traced sample is counted missing; the rest are still described
+    assert change["samples"] == [4.5, 5.5, None] and change["missing"] == 1
+    assert change["median"] == 5.0
+    assert layers["runner.iters"]["change"]["median"] == 100
 
 
 def test_missing_samples_fail_the_change_and_keep_the_round(tmp_path, monkeypatch):

@@ -216,9 +216,6 @@ class TestSweep:
         assert all(float(r.split(",")[5]) >= 0 for r in rows)
 
     def test_divergent_run_flags_row_and_exit_code(self, tmp_path):
-        # an untunable fixed step this large overflows on this problem
-        cfg = write_config(tmp_path, policies=["idealized"], seeds=[0],
-                           overrides={}, T=[60])
         # force divergence through a custom schedule with tiny levels
         levels = tmp_path / "levels.txt"
         levels.write_text("\n".join(["1e-200"] * 60) + "\n", encoding="utf-8")

@@ -235,6 +235,110 @@ class TestDenominator:
         assert not isinstance(est, SquaredNorms)
 
 
+# -- each kind against its formulas written out -----------------------------
+# Each kind's sample, recurrence and denominator as its class stated them before
+# the EMA kinds shared ``_EMA``'s recurrence and each sample was written once.
+# The window's reference is its documented value, fsum(window) / len(window).
+
+class WrittenSecondMoment:
+    def __init__(self, beta, p, width):
+        self.beta = beta
+
+    def initialize(self, g):
+        self.value = float(g @ g)
+
+    def update(self, g):
+        self.value = self.beta * self.value + (1.0 - self.beta) * float(g @ g)
+
+    def denominator(self, m):
+        return math.sqrt(self.value) + m
+
+
+class WrittenFirstMoment(WrittenSecondMoment):
+    def initialize(self, g):
+        self.value = float(np.linalg.norm(g))
+
+    def update(self, g):
+        self.value = self.beta * self.value + (1.0 - self.beta) * float(np.linalg.norm(g))
+
+    def denominator(self, m):
+        return self.value + m
+
+
+class WrittenVariance(WrittenSecondMoment):
+    @staticmethod
+    def _sample(g, g2):
+        d = g - g2
+        return float(d @ d) / 2.0
+
+    def initialize(self, g, g2):
+        self.value = self._sample(g, g2)
+
+    def update(self, g, g2):
+        self.value = self.beta * self.value + (1.0 - self.beta) * self._sample(g, g2)
+
+
+class WrittenPower(WrittenSecondMoment):
+    def __init__(self, beta, p, width):
+        self.beta, self.p = beta, p
+
+    def initialize(self, g):
+        self.value = float(np.linalg.norm(g) ** self.p)
+
+    def update(self, g):
+        s = float(np.linalg.norm(g) ** self.p)
+        self.value = self.beta * self.value + (1.0 - self.beta) * s
+
+    def denominator(self, m):
+        return float((self.value + np.float64(m) ** self.p) ** (1.0 / self.p))
+
+
+class WrittenWindow(WrittenSecondMoment):
+    def __init__(self, beta, p, width):
+        self.width = width
+
+    def initialize(self, g):
+        self.samples = []
+        self.update(g)
+
+    def update(self, g):
+        self.samples.append(float(g @ g))
+        window = self.samples[-self.width:]
+        self.value = math.fsum(window) / len(window)
+
+
+WRITTEN_OUT = {
+    "second-moment": (lambda beta, p, width: SecondMomentEMA(beta), WrittenSecondMoment),
+    "first-moment": (lambda beta, p, width: FirstMomentEMA(beta), WrittenFirstMoment),
+    "variance": (lambda beta, p, width: VarianceEMA(beta), WrittenVariance),
+    "pnorm": (lambda beta, p, width: PowerEMA(beta, p), WrittenPower),
+    "window": (lambda beta, p, width: WindowAverage(width), WrittenWindow),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(WRITTEN_OUT)), dim=st.integers(1, 50),
+       draws=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.floats(-150.0, 150.0)),
+                      min_size=1, max_size=30),
+       beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       p=st.floats(0.25, 4.0), m=st.floats(0.0, 1e150), width=st.integers(1, 10))
+def test_each_kind_gives_its_written_out_bits(kind, dim, draws, beta, p, m, width):
+    """Over gradient streams of magnitudes 1e-150 to 1e150, every kind's value
+    and denominator(m) equal its written-out formulas' with ==, after
+    initialize and after every update; for the first moment that is also
+    numpy's norm ** 1.0 == norm."""
+    build, written = WRITTEN_OUT[kind]
+    est, ref = build(beta, p, width), written(beta, p, width)
+    size = 2 if kind == "variance" else 1
+    with np.errstate(over="ignore"):  # a huge norm ** p or m ** p is inf on both sides
+        for step, (seed, exponent) in enumerate(draws):
+            gs = np.random.default_rng(seed).uniform(-1.0, 1.0, (size, dim)) * 10.0 ** exponent
+            for obj in (est, ref):
+                (obj.initialize if step == 0 else obj.update)(*gs)
+            assert est.value == ref.value
+            assert est.denominator(m) == ref.denominator(m)
+
+
 class TestDefaultBeta:
     def test_values(self):
         assert default_beta(1000) == pytest.approx(0.98, rel=1e-12)

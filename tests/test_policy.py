@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,8 +153,10 @@ def test_regime_warning_boundary(T):
 
 def variance_correction(c, L, max_level, T=1000):
     """The correction m of make_variance_adaptive with c given, on a problem
-    of smoothness L (with c given, L is the only attribute it reads)."""
-    return make_variance_adaptive(SimpleNamespace(L=L), max_level, T, c=c).m
+    of smoothness L (with c given, it reads only L and step_cap())."""
+    problem = make_smooth_nonconvex(4, radius=1.0, seed=0)
+    problem.L = L
+    return make_variance_adaptive(problem, max_level, T, c=c).m
 
 
 class TestVarianceAdaptiveCorrection:

@@ -64,8 +64,8 @@ class SpyPolicy:
         self.events.append(("stepsize", k))
         return self.inner.stepsize(k)
 
-    def observe(self, g, g2=None):
-        self.inner.observe(g, g2)
+    def observe(self, *gs):
+        self.inner.observe(*gs)
 
 
 class TestConvexRun:
@@ -326,7 +326,10 @@ class TestNonconvexRun:
         lambda oracle: nonconvex_idealized_baseline(oracle.problem, oracle.schedule),
         # the estimator's seed draw in init would be a query before the cap
         lambda oracle: run_nonconvex(oracle, AdaptiveStep(0.1, 1.0, SecondMomentEMA(0.9))),
-    ], ids=["constant_baseline", "idealized_baseline", "run_nonconvex"])
+        lambda oracle: make_variance_adaptive(oracle.problem, oracle.schedule.max_level(),
+                                              oracle.schedule.horizon),
+    ], ids=["constant_baseline", "idealized_baseline", "run_nonconvex",
+            "make_variance_adaptive"])
     def test_cap_needs_a_positive_smoothness_constant(self, reader, L):
         """Every reader of problem.step_cap() rejects a problem without a
         positive L with a ValueError, before any oracle query."""

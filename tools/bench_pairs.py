@@ -39,11 +39,15 @@ of the pairs (ties count for neither side), the medians differ, in the
 better direction, by more than the parent's interquartile distance, and the
 failed operations pass.
 
-``--trace`` adds one ``--trace 1`` run per side at seed 0, for the per-layer
-split. Each invocation appends one round to the workload's list in ``--out``,
-with both checkouts' git commits and the last run's environment, and keeps
-every round written before; every run, traced or not, keeps the load average
-it started under as ``loadavg_start``. The standard library is all it needs.
+``--trace`` adds three ``--trace 1`` runs per side, at seeds 0, 1 and 2 and
+alternating which side runs first as the pairs do, for the per-layer split:
+one traced process moves layers that no change touched, so the round keeps
+every traced run and reports each per-layer metric's samples, median and
+quartiles per side. Each invocation appends one round to the workload's list
+in ``--out``, with both checkouts' git commits and the last run's environment,
+and keeps every round written before; every run, traced or not, keeps the load
+average it started under as ``loadavg_start``. The standard library is all it
+needs.
 """
 from __future__ import annotations
 
@@ -55,6 +59,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACE_SEEDS = (0, 1, 2)
 
 
 def better_than(a: float, b: float, better: str) -> bool:
@@ -164,6 +169,24 @@ def keep_load(run: dict) -> dict:
     return environment
 
 
+def run_pairs(checkouts: dict, workload: str, seeds, seconds: float,
+              trace: int) -> tuple[list, dict]:
+    """One run per side at each seed, the parent first at even positions and
+    the change first at odd ones; returns the pairs and the last environment."""
+    pairs, environment = [], {}
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            run = run_benchmark(checkouts[side], workload, seed, seconds, trace)
+            environment = keep_load(run)
+            pair[side] = run
+            print(f"{'traced' if trace else 'pair'} {i + 1}/{len(seeds)} seed {seed} "
+                  f"{side}: {json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
+        pairs.append(pair)
+    return pairs, environment
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -173,7 +196,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--trace", action="store_true",
-                        help="add one traced run per side at seed 0")
+                        help="add three traced runs per side, at seeds 0, 1 and 2")
     parser.add_argument("--out", type=Path, required=True)
     opts = parser.parse_args(argv)
 
@@ -185,18 +208,8 @@ def main(argv=None) -> int:
     checkouts = {"parent": opts.parent.resolve(), "change": opts.change.resolve()}
     commits = {side: commit_of(path) for side, path in checkouts.items()}
 
-    pairs, environment = [], {}
-    for i in range(opts.pairs):
-        seed = opts.first_seed + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            run = run_benchmark(checkouts[side], opts.workload, seed, seconds, 0)
-            environment = keep_load(run)
-            pair[side] = run
-            print(f"pair {i + 1}/{opts.pairs} seed {seed} {side}: "
-                  f"{json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
-        pairs.append(pair)
+    seeds = range(opts.first_seed, opts.first_seed + opts.pairs)
+    pairs, environment = run_pairs(checkouts, opts.workload, seeds, seconds, 0)
 
     metrics = {
         name: summarize([p["parent"]["metrics"][name] for p in pairs],
@@ -218,11 +231,12 @@ def main(argv=None) -> int:
         entry["claim"] = {"metric": opts.metric,
                           "verdict": claim_verdict(metrics[opts.metric], failed)}
     if opts.trace:
-        entry["trace"] = {}
-        for side in SIDES:
-            run = run_benchmark(checkouts[side], opts.workload, 0, seconds, 1)
-            environment = keep_load(run)
-            entry["trace"][side] = run
+        runs, environment = run_pairs(checkouts, opts.workload, TRACE_SEEDS, seconds, 1)
+        names = dict.fromkeys(name for r in runs for side in SIDES
+                              for name in r[side]["metrics"])
+        entry["trace"] = {"runs": runs, "per_layer": {
+            name: {side: describe([r[side]["metrics"].get(name) for r in runs])
+                   for side in SIDES} for name in names}}
     entry["environment"] = environment
 
     try:
