@@ -159,7 +159,7 @@ class ExperimentConfig(SimpleNamespace):
         if args.config:
             try:
                 raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if isinstance(raw, dict):
             raw = {key: value for key, value in raw.items()
@@ -201,7 +201,8 @@ class ExperimentConfig(SimpleNamespace):
 
 
 def build_problem(cfg: ExperimentConfig):
-    """The config's problem; a value its factory rejects is a ConfigError."""
+    """The config's problem; a value its factory rejects, or a size the machine
+    cannot allocate, is a ConfigError."""
     spec = cfg.problem
     try:
         if spec["kind"] == "quadratic":
@@ -209,7 +210,7 @@ def build_problem(cfg: ExperimentConfig):
                                   radius=spec["radius"], cond=spec["cond"])
         return make_smooth_nonconvex(dim=spec["dim"], radius=spec["radius"],
                                      seed=spec["seed"])
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"problem: {exc}") from None
 
 
@@ -267,7 +268,8 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
 
     ``trace_values`` records a convex run's f(x_k) - f* trace. The runner
     records an aborted run; a ValueError from building the cell, a runner's
-    precondition or the bound gives a failed record that keeps its queries.
+    precondition or the bound, or a MemoryError from an array the machine cannot
+    allocate, gives a failed record that keeps its queries.
     """
     bound_const = cfg.overrides.get("bound_const") or SCHEMA["overrides"]["bound_const"][1]
     schedule = oracle = None
@@ -288,7 +290,7 @@ def execute_run(cfg: ExperimentConfig, problem, name: str, horizon: int,
             bound_value = policy.bound(problem, schedule, float(bound_const))
             if record.squared_trace:
                 regret_value = analysis.regret_from_run(record, schedule)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         record = RunRecord(stepsizes=np.zeros(0), failed=True, failure_reason=str(exc),
                            oracle_queries=oracle.query_count if oracle else 0)
         bound_value, regret_value, elapsed_ms = math.nan, None, 0
@@ -421,7 +423,7 @@ def _cmd_schedule_dump(cfg: ExperimentConfig, args) -> int:
     horizon, alpha = _one_value(cfg, "T", "alpha")
     try:
         schedule = build_schedule(cfg, horizon, alpha)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"schedule: {exc}") from None
     lines = ["k,level"] + [f"{k},{_fmt(level)}"
                            for k, level in enumerate(schedule.levels().tolist(), 1)]

@@ -9,21 +9,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def power_iteration(matrix: np.ndarray, tol: float = 1e-12,
-                    max_iter: int = 10_000, seed: int = 12345) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
+def power_iteration(matrix: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix by power iteration, from a
+    fixed start (seed 12345) to a 1e-12 relative tolerance or 10,000 steps."""
+    rng = np.random.default_rng(12345)
     v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
     lam, w = 0.0, matrix @ v
-    for _ in range(max_iter):
+    for _ in range(10_000):
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         w = matrix @ v  # the Rayleigh quotient's product is the next step's w
         new_lam = float(v @ w)
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
+        if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
             return new_lam
         lam = new_lam
     return lam
@@ -66,44 +66,38 @@ class Problem:
 def _start_point(x_star: np.ndarray, radius: float, rng) -> np.ndarray:
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if radius == 0.0:
-        return x_star.copy()
     u = rng.standard_normal(x_star.size)
     u /= np.linalg.norm(u)
     return x_star + radius * u
 
 
 class Quadratic(Problem):
-    """Least squares f(x) = ||Ax - b||^2 / (2n) with a known minimizer."""
+    """Least squares f(x) = ||Ax - b||^2 / (2n) with b = A x_star, so f* = 0."""
 
     convex = True
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, x_star: np.ndarray,
-                 start: np.ndarray):
+    def __init__(self, A: np.ndarray, x_star: np.ndarray, start: np.ndarray):
         A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
         self.A = A
-        self.b = b
+        self.b = A @ x_star
         self.n = A.shape[0]
         self.hessian = A.T @ A / self.n
-        f_star = float(np.sum((A @ x_star - b) ** 2)) / (2.0 * self.n)
         L = power_iteration(self.hessian)
-        super().__init__(x_star, f_star, start, L)
+        super().__init__(x_star, 0.0, start, L)
 
     def value(self, x: np.ndarray) -> float:
         r = self.A @ (np.asarray(x, dtype=float)) - self.b
         return float(r @ r) / (2.0 * self.n)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        # Valid because x_star satisfies the normal equations, so the gradient
-        # vanishes exactly at x_star.
+        # A^T (A x - b) / n with b = A x_star, which the constructor sets: the
+        # true gradient, zero at x_star.
         return self.hessian @ (np.asarray(x, dtype=float) - self.x_star)
-
 
 
 def make_quadratic(seed: int, dim: int, n: int, radius: float = 1.0,
                    cond: float | None = None) -> Quadratic:
-    """Random noiseless linear regression: b = A @ x_true, so f* = 0 exactly.
+    """Random noiseless linear regression built at x_true: b = A @ x_true, f* = 0.
 
     With ``cond`` set, the design matrix gets log-spaced singular values
     giving the curvature matrix condition number ``cond`` and largest
@@ -128,9 +122,8 @@ def make_quadratic(seed: int, dim: int, n: int, radius: float = 1.0,
         right, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         A = left @ np.diag(np.sqrt(n * eigs)) @ right.T
     x_true = rng.standard_normal(dim)
-    b = A @ x_true
     start = _start_point(x_true, radius, rng)
-    return Quadratic(A, b, x_true, start)
+    return Quadratic(A, x_true, start)
 
 
 class SmoothNonconvex(Problem):

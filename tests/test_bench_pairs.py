@@ -1,6 +1,7 @@
 """The verdicts and rounds tools/bench_pairs.py writes, on synthetic samples."""
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -53,7 +54,8 @@ def test_claim_and_bound_verdicts():
 
 def test_paired_ratio_is_reported_over_pairs_with_both_samples():
     """Each pair's change/parent ratio, skipping a pair with a null side; the
-    ratios' median and quartiles are reported and no verdict reads them."""
+    ratios' median, quartiles and median interval are reported and no verdict
+    reads them."""
     parent = [100.0, 200.0, None, 400.0, 100.0, 50.0]
     change = [110.0, 180.0, 300.0, 480.0, 90.0, 60.0]
     s = bench_pairs.summarize(parent, change, "higher", 0.25)
@@ -65,6 +67,19 @@ def test_paired_ratio_is_reported_over_pairs_with_both_samples():
     assert s["verdict"] == "unresolved" and s["change_over_parent"] is None
     none = bench_pairs.summarize([None] * 2, [1.0, 2.0], "higher", 0.25)["paired_ratio"]
     assert none["samples"] == [] and none["median"] is None
+    # the median interval is the kth smallest and kth largest ratio, k the
+    # largest with P(Binomial(n, 1/2) <= k - 1) <= 0.025, whatever order the
+    # pairs ran in; five ratios are too few: 2 P(Binomial(5, 1/2) = 0) > 5%
+    assert s["paired_ratio"]["median_interval"] is None
+    assert none["median_interval"] is None
+    for n, k in [(6, 1), (9, 2), (10, 2), (20, 6), (40, 14)]:
+        ratios = [1.0 + i / 100 for i in range(n)]
+        interval = bench_pairs.summarize(
+            [100.0] * n, [100.0 * r for r in ratios[::2] + ratios[1::2]],
+            "higher", 0.25)["paired_ratio"]["median_interval"]
+        assert interval == pytest.approx([ratios[k - 1], ratios[n - k]])
+        tail = sum(math.comb(n, i) for i in range(k)) / 2 ** n
+        assert tail <= 0.025 < tail + math.comb(n, k) / 2 ** n
 
 
 def test_every_run_keeps_its_start_load(tmp_path, monkeypatch):

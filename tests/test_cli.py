@@ -269,6 +269,26 @@ class TestSweep:
         assert len([ln for ln in err.splitlines() if " failed: " in ln]) == len(failed)
 
     @pytest.mark.parametrize("command", ["sweep", "run"])
+    def test_unallocatable_schedule_fails_its_row(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        """A horizon whose schedule the allocator refuses (T = 1e13 asks
+        piecewise_linear for 73 TiB) fails each cell as T = 4 does, with no
+        traceback. The allocation is not tried: whether the OS refuses it
+        depends on its overcommit mode."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(NoiseSchedule, "piecewise_linear", refuse)
+        cfg = write_config(tmp_path, policies=["constant"], seeds=[0])
+        assert main([command, "--config", str(cfg)]) == 1
+        (row,) = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        fields = row.split(",")
+        assert fields[5] == fields[6] == "nan" and int(fields[8]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "constant T=60 alpha=0.5 seed=0 failed: Unable to allocate 72.8 TiB" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "run"])
     @pytest.mark.parametrize("problem", [
         {"kind": "smooth_nonconvex", "dim": 5},
         {"kind": "quadratic", "dim": 5, "n": 10},
@@ -720,6 +740,46 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("content", [
+        None, b'{"T": [', b'\xff\xfe{}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["missing", "malformed", "not-utf8", "nested-100000-deep"])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, monkeypatch,
+                                                      capsys, content):
+        """A config file that cannot be read, decoded or parsed is one line and
+        exit 2; bytes that are not UTF-8 and an array nested deeper than the
+        parser recurses gave a traceback and exit 1."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.rglob("results.csv"))
+
+    @pytest.mark.parametrize("command, owner, name, key", [
+        ("sweep", cli, "make_quadratic", "problem"),
+        ("run", cli, "make_quadratic", "problem"),
+        ("schedule-dump", NoiseSchedule, "piecewise_linear", "schedule"),
+    ], ids=["sweep", "run", "schedule-dump"])
+    def test_unallocatable_size_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                  command, owner, name, key):
+        """A size that passes numpy's own check but that the allocator refuses
+        raises MemoryError (problem.dim = problem.n = 1e8 asks for 71 PiB);
+        before any run it is a config error. The allocation is not tried here:
+        whether the OS refuses it depends on its overcommit mode."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 71.1 PiB for an array")
+
+        monkeypatch.setattr(owner, name, refuse)
+        cfg = write_config(tmp_path, policies=["constant"], seeds=[0])
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {key}: Unable to allocate 71.1 PiB " \
+                               "for an array\n"
+        assert not captured.out and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, flags, key", [
         ({"schedule": {"kind": "constant", "level": None}}, [], "schedule.level"),

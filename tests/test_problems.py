@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonstat_opt import (Quadratic, make_quadratic, make_smooth_nonconvex,
                          power_iteration)
@@ -21,7 +22,7 @@ class TestQuadratic:
     def test_half_squared_norm_case(self):
         # A = sqrt(2) * I with two rows makes f(x) = ||x||^2 / 2 exactly.
         A = math.sqrt(2.0) * np.eye(2)
-        prob = Quadratic(A, np.zeros(2), np.zeros(2), np.ones(2))
+        prob = Quadratic(A, np.zeros(2), np.ones(2))
         x = np.array([3.0, 4.0])
         assert prob.value(x) == pytest.approx(12.5, rel=1e-12)
         np.testing.assert_allclose(prob.gradient(x), x, rtol=1e-12)
@@ -115,3 +116,32 @@ def test_gradient_matches_finite_differences_everywhere(factory):
         analytic = prob.gradient(x)
         denom = max(np.linalg.norm(fd), 1e-8)
         assert np.linalg.norm(analytic - fd) / denom <= 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 12), extra_rows=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.tuples(st.floats(-60.0, 60.0), st.floats(-100.0, 100.0),
+                        st.floats(-100.0, 100.0)),
+       radius=st.sampled_from([0.0, 0.5, 3.0]), cond=st.sampled_from([None, 1e4]))
+def test_every_quadratic_is_at_its_optimum(dim, extra_rows, seed, scales, radius,
+                                           cond):
+    """A quadratic sets b = A x_star, so over shapes n >= d, entries of A from
+    1e-60 to 1e60 and of x_star and the start from 1e-100 to 1e100, f* and
+    f(x_star) are 0 and the gradient at x_star is 0, with ==. Both factories
+    at radius 0 start at x_star bit for bit."""
+    rng = np.random.default_rng(seed)
+    a_scale, x_scale, start_scale = (10.0 ** e for e in scales)
+    A = a_scale * rng.standard_normal((dim + extra_rows, dim))
+    x_star = x_scale * rng.standard_normal(dim)
+    prob = Quadratic(A, x_star, start_scale * rng.standard_normal(dim))
+    assert prob.f_star == 0.0
+    assert prob.value(prob.x_star) == 0.0
+    assert np.all(prob.gradient(prob.x_star) == 0.0)
+
+    for made in (make_quadratic(seed % 1000, dim, dim + extra_rows, radius, cond),
+                 make_smooth_nonconvex(dim, radius, seed % 1000)):
+        assert made.radius == pytest.approx(radius, rel=1e-12)
+        if radius == 0.0:
+            assert made.start.tobytes() == made.x_star.tobytes()
+            assert made.radius == 0.0

@@ -245,7 +245,7 @@ class ValueCounter(Quadratic):
     """The same quadratic, counting its value() calls in ``value_calls``."""
 
     def __init__(self, quad):
-        super().__init__(quad.A, quad.b, quad.x_star, quad.start)
+        super().__init__(quad.A, quad.x_star, quad.start)
         self.value_calls = 0
 
     def value(self, x):

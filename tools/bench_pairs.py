@@ -14,8 +14,9 @@ pair's samples. For every end-to-end metric of the change's
 ``BENCHMARK.json`` the script writes each side's samples, median and
 quartiles, the parent's interquartile distance, the change's wins, the
 change/parent ratio of each pair where both sides have a sample with those
-ratios' median and quartiles (reported only: no verdict reads them), and a
-verdict against the metric's bound:
+ratios' median, quartiles and a distribution-free interval for their median
+(reported only: no verdict reads them), and a verdict against the metric's
+bound:
 
 - ``fail``: the change's median is worse than the parent's by more than the
   bound, relative to the parent's median;
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -83,6 +85,21 @@ def describe(values: list) -> dict:
             "quartiles": [q1, q3], "iqr": q3 - q1 if present else None}
 
 
+def median_interval(values: list) -> list | None:
+    """[v_(k), v_(n-k+1)] of the sorted values, which holds their population's
+    median with probability at least 1 - 2 P(Binomial(n, 1/2) <= k - 1), for the
+    largest k with P(Binomial(n, 1/2) <= k - 1) <= 0.025: the 2nd and 9th of 10
+    (97.9%), the 6th and 15th of 20 (95.9%). None below 6 values, where no k
+    qualifies. Unlike the quartiles, it narrows as values are added."""
+    n = len(values)
+    k, at_most_k = 0, 1  # at_most_k: 2^n P(Binomial(n, 1/2) <= k)
+    while 40 * at_most_k <= 2 ** n:
+        k += 1
+        at_most_k += math.comb(n, k)
+    ordered = sorted(values)
+    return [ordered[k - 1], ordered[n - k]] if k else None
+
+
 def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     """Both sides' samples of one metric, paired by index, and its verdict."""
     sides = {side: describe(values) for side, values in zip(SIDES, (parent, change))}
@@ -103,10 +120,11 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
             verdict = "unresolved"
         else:
             verdict = "pass"
+    ratios = [c / p for p, c in zip(parent, change) if None not in (p, c)]
     return {"better": better, "bound": bound, **sides,
             "parent_iqr": sides["parent"]["iqr"], "change_over_parent": ratio,
-            "paired_ratio": describe([c / p for p, c in zip(parent, change)
-                                      if None not in (p, c)]),
+            "paired_ratio": {**describe(ratios),
+                             "median_interval": median_interval(ratios)},
             "change_wins": sum(None not in (p, c) and better_than(c, p, better)
                                for p, c in zip(parent, change)),
             "pairs": len(parent), "relative_spread": spread, "verdict": verdict}
@@ -251,6 +269,8 @@ def main(argv=None) -> int:
         paired = m["paired_ratio"]
         ratio = ("null" if paired["median"] is None else
                  "{:.4g} [{:.4g}, {:.4g}]".format(paired["median"], *paired["quartiles"]))
+        if paired["median_interval"] is not None:
+            ratio += " median in [{:.4g}, {:.4g}]".format(*paired["median_interval"])
         print(f"{opts.workload} {name}: {' '.join(medians)} paired ratio {ratio} "
               f"wins {m['change_wins']}/{m['pairs']} {m['verdict']}")
     if "claim" in entry:
