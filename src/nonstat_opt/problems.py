@@ -6,12 +6,22 @@ from the minimizer, and a gradient-Lipschitz constant.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def power_iteration(matrix: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration, from a
-    fixed start (seed 12345) to a 1e-12 relative tolerance or 10,000 steps."""
+    fixed start (seed 12345) to a 1e-12 relative tolerance or 10,000 steps.
+
+    The iteration runs on matrix * 2^-e, e the binary exponent of its largest
+    |entry|, so no product or norm overflows. Scaling by a power of two is
+    exact, so every step, and the tolerance test in the scaled units, is the
+    unscaled matrix's; the result is scaled back by 2^e."""
+    _, e = math.frexp(float(np.max(np.abs(matrix), initial=0.0)))
+    matrix = np.ldexp(matrix, -e)
+    one = math.ldexp(1.0, min(-e, 1023))  # 1.0 scaled; 1e-12 * 2^1023 passes any step
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
@@ -23,10 +33,10 @@ def power_iteration(matrix: np.ndarray) -> float:
         v = w / norm
         w = matrix @ v  # the Rayleigh quotient's product is the next step's w
         new_lam = float(v @ w)
-        if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
-            return new_lam
+        if abs(new_lam - lam) <= 1e-12 * max(one, abs(new_lam)):
+            return float(np.ldexp(new_lam, e))
         lam = new_lam
-    return lam
+    return float(np.ldexp(lam, e))
 
 
 class Problem:

@@ -49,21 +49,22 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
     """SGD x_{k+1} = x_k - eta_k g_k; paired policies step with the pair average.
 
     The problem, the horizon T (the schedule's length) and the seed are the
-    oracle's. Every run traces ||grad f(x_k)||^2 (the non-convex output and
-    the numerator of ``run``'s printed noise ratio) and, with an estimator,
-    the estimator's value (read by the ``regret`` column). ``averaged``
-    selects the output: the stepsize-weighted average of the query points
-    x_1..x_T, or a stepsize-weighted random index with eta_k <= 1/(2L)
-    enforced; both read the recorded steps after the loop, summed by cumsum,
-    in order as online sums add (``sum`` is pairwise and moves the bits).
-    ``trace_values`` adds the f(x_k) - f* trace of an averaged run, one
-    value() call per iteration; only ``run``'s trajectory file reads it.
+    oracle's. With an estimator, every run traces the estimator's value (read
+    by the ``regret`` column). ``averaged`` selects the output: the
+    stepsize-weighted average of the query points x_1..x_T, or a
+    stepsize-weighted random index with eta_k <= 1/(2L) enforced; both read
+    the recorded steps after the loop, summed by cumsum, in order as online
+    sums add (``sum`` is pairwise and moves the bits). A non-averaged run
+    traces ||grad f(x_k)||^2, which its output index reads. ``trace_values``
+    adds, to an averaged run, the f(x_k) - f* trace (one value() call per
+    iteration) and the ||grad f(x_k)||^2 trace; only the ``run`` command
+    reads them, for its trajectory file and its printed noise ratio.
     eta_k is fixed before g_k is drawn. A ValueError in the loop (the cap, a
     degenerate denominator, a step of 0, a non-finite iterate) ends the run as
     a failed record, "aborted at iteration k: <cause>", that keeps its queries.
     """
     problem, T, seed = oracle.problem, oracle.schedule.horizon, oracle.seed
-    grad_sq = np.zeros(T)
+    grad_sq = np.zeros(T) if trace_values or not averaged else None
     record = RunRecord(stepsizes=np.zeros(T), grad_norm_sq=grad_sq,
                        squared_trace=isinstance(policy.estimator, SquaredNorms))
     if policy.estimator is not None:
@@ -97,9 +98,12 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
                 else:
                     g, true_grad = oracle.query(x, k, with_true=True)
                     policy.observe(g)
-                grad_sq[k - 1] = true_grad @ true_grad
+                if grad_sq is not None:
+                    grad_sq[k - 1] = true_grad @ true_grad
                 x = x - eta * g
-                if not np.isfinite(x).all():
+                # x @ x is finite unless an entry is inf or nan or the squares
+                # overflow (|x| above ~1e154), which the entrywise check clears
+                if not math.isfinite(x @ x) and not np.isfinite(x).all():
                     raise ValueError("iterate overflow or NaN")
         except ValueError as exc:
             record.failed = True

@@ -482,6 +482,16 @@ class TestRunMode:
                           delimiter=",", skiprows=1)
         assert printed == format(np.mean(traj[:, 2] / traj[:, 4] ** 2), ".4g")
 
+    @pytest.mark.parametrize("policy, ratio", [("adaptive", "15.36"),
+                                               ("variance_adaptive", "27.66")])
+    def test_convex_run_prints_the_recorded_ratio(self, tmp_path, capsys, policy, ratio):
+        """A convex run's trajectory holds f(x_k) - f*, so only its printed ratio
+        reads its ||grad f(x_k)||^2 trace; the values were recorded while every
+        run traced it."""
+        cfg = write_config(tmp_path, policies=[policy], T=[200], seeds=[3])
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert self.RATIO_LINE.search(capsys.readouterr().out).group(1) == ratio
+
     def test_no_ratio_without_noise(self, tmp_path, capsys):
         cfg = write_config(tmp_path, schedule={"kind": "constant", "level": 0.0},
                            policies=["constant"], seeds=[0], overrides={"c": 0.01})
@@ -512,8 +522,10 @@ class TestVerifyCommand:
             assert isinstance(crit["measured"], float)
 
     # sha256 of verify_report.json, recorded while each criterion still computed
-    # its own verdict beside the comparator it reports.
+    # its own verdict beside the comparator it reports (adversarial: while each
+    # query drew its own noise and every run traced ||grad f||^2).
     GOLDEN_REPORTS = {
+        "adversarial": "d764835bff769dc4beb09674ad289f5e60807ab6635787fab24144bb2cfff0c9",
         "jensen": "5dd553cd9e3f4cbc3cc9dae9df5fa1cbfec9545a532a83c7039410390d5a53ab",
         "regret": "4c60fe0a99cd2b50f908c87ca0c54e801410383fce56cfbd2c89f26ef2465503",
     }
@@ -695,9 +707,6 @@ class TestScheduleDump:
 
 
 class TestConfigHandling:
-    def test_missing_config_file(self, tmp_path):
-        assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
-
     @pytest.mark.parametrize("command, args", [
         ("run", ["--T", "50"]), ("sweep", ["--T", "50"]),
         ("verify", ["--suite", "jensen"])])

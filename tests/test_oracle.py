@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nonstat_opt import NoiseSchedule, Oracle, make_quadratic
+from nonstat_opt import NoiseSchedule, Oracle, make_quadratic, make_smooth_nonconvex
+from nonstat_opt.oracle import _BLOCK
 
 DIM = 4
 N_SAMPLES = 100_000
@@ -135,3 +136,65 @@ class TestBookkeeping:
         oracle = Oracle(quad, NoiseSchedule.constant(1.0, 10), seed=0)
         with pytest.raises(ValueError):
             oracle.query(quad.start, 11)
+
+
+class ReferenceStream:
+    """Each query's expected gradients, from its own standard_normal call on a
+    generator seeded as the oracle's, scaled and added as the oracle does."""
+
+    def __init__(self, problem, schedule, seed):
+        self.problem, self.schedule = problem, schedule
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def next(self, x, k, pair):
+        d = self.problem.dim
+        noise = self.rng.standard_normal(2 * d if pair else d) * (
+            self.schedule.level(k) / np.sqrt(d))
+        self.drawn += noise.size
+        true_grad = self.problem.gradient(x)
+        if pair:
+            return true_grad + noise[:d], true_grad + noise[d:]
+        return (true_grad + noise,)
+
+
+def assert_stream(oracle, ref, calls):
+    """Run (k, pair) calls at moving points; every gradient equals the reference's."""
+    rng = np.random.default_rng(99)
+    for k, pair in calls:
+        x = rng.standard_normal(oracle.problem.dim)
+        got = oracle.query_pair(x, k) if pair else (oracle.query(x, k),)
+        for g, want in zip(got, ref.next(x, k, pair), strict=True):
+            assert (g == want).all()
+    assert oracle.query_count == ref.drawn // oracle.problem.dim
+
+
+class TestBlockDraws:
+    """The oracle draws its normals in blocks of _BLOCK; each query still gets
+    the values a draw of its own would have given it."""
+
+    def test_mixed_queries_across_refills(self):
+        dim = 7  # divides no block, so refills fall inside a query's values
+        assert _BLOCK % dim and _BLOCK % (2 * dim)
+        problem = make_quadratic(seed=3, dim=dim, n=20)
+        sched = NoiseSchedule.piecewise_linear(50, 0.4)
+        oracle, ref = Oracle(problem, sched, 5), ReferenceStream(problem, sched, 5)
+        calls = [(k % 50 + 1, k % 3 == 1) for k in range(_BLOCK // dim * 3)]
+        assert_stream(oracle, ref, calls)
+        assert ref.drawn > 2 * _BLOCK
+
+    def test_dimension_above_one_block(self):
+        problem = make_smooth_nonconvex(_BLOCK + _BLOCK // 2 + 1, seed=2)
+        sched = NoiseSchedule.constant(0.7, 5)
+        oracle, ref = Oracle(problem, sched, 6), ReferenceStream(problem, sched, 6)
+        assert_stream(oracle, ref, [(1, False), (2, True), (3, False), (4, True)])
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_out_of_range_k_consumes_nothing(self, quad, pair):
+        sched = NoiseSchedule.piecewise_linear(10, 0.5)
+        oracle, ref = Oracle(quad, sched, 4), ReferenceStream(quad, sched, 4)
+        assert_stream(oracle, ref, [(1, False), (2, True)])
+        with pytest.raises(ValueError):
+            oracle.query_pair(quad.start, 11) if pair else oracle.query(quad.start, 0)
+        assert oracle.query_count == 3
+        assert_stream(oracle, ref, [(3, pair), (4, not pair)])

@@ -50,6 +50,39 @@ class TestQuadratic:
         assert power_iteration(H) == pytest.approx(
             float(np.linalg.eigvalsh(H).max()), rel=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e70, 1e80])
+    def test_power_iteration_at_a_huge_scale(self, scale):
+        """Above ~1e154 the first product's squared norm overflowed and L read 0."""
+        A = scale * np.random.default_rng(0).standard_normal((6, 3))
+        H = A.T @ A / 6
+        assert power_iteration(H) == pytest.approx(
+            float(np.linalg.eigvalsh(H).max()), rel=1e-9)
+
+    def test_power_iteration_takes_the_unscaled_steps(self):
+        """Below the overflow range the power-of-two scaling moves no bit of L:
+        each result equals the unscaled iteration's, written out here."""
+        def unscaled(matrix):
+            v = np.random.default_rng(12345).standard_normal(matrix.shape[0])
+            v /= np.linalg.norm(v)
+            lam, w = 0.0, matrix @ v
+            for _ in range(10_000):
+                v = w / np.linalg.norm(w)
+                w = matrix @ v
+                new_lam = float(v @ w)
+                if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
+                    return new_lam
+                lam = new_lam
+            return lam
+
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            dim = int(rng.integers(2, 12))
+            B = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-4, 3)
+            assert power_iteration(B @ B.T) == unscaled(B @ B.T)
+
+    def test_power_iteration_of_zero_is_zero(self):
+        assert power_iteration(np.zeros((3, 3))) == 0.0
+
     def test_suboptimality_equals_quadratic_form_and_is_nonnegative(self):
         prob = make_quadratic(seed=2, dim=6, n=24)
         rng = np.random.default_rng(0)

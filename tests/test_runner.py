@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -233,6 +234,8 @@ def test_one_loop_contract(kind, name):
     arity = 2 if policy.uses_pairs else 1
     init = 0 if policy.estimator is None else 1
     assert rec.oracle_queries == oracle.query_count == arity * (T + init)
+    # an untraced convex run has no output that reads ||grad f(x_k)||^2
+    assert (rec.grad_norm_sq is None) == problem.convex
     # drop the estimator's seed draw, then require strict alternation
     loop_events = events[init:]
     assert loop_events == [(event, k) for k in range(1, T + 1)
@@ -274,6 +277,7 @@ def test_value_trace_is_opt_in(quad, name):
             calls[T, trace_values] = problem.value_calls
             records[T, trace_values] = rec
             assert (rec.suboptimality is None) != trace_values
+            assert (rec.grad_norm_sq is None) != trace_values
     assert calls[20, False] == calls[80, False] == 1  # f(x_bar) alone
     assert [calls[T, True] - calls[T, False] for T in (20, 80)] == [20, 80]
     for T in (20, 80):
@@ -282,6 +286,26 @@ def test_value_trace_is_opt_in(quad, name):
         assert plain.x_bar.tobytes() == traced.x_bar.tobytes()
         assert np.float64(plain.final_metric).tobytes() == \
             np.float64(traced.final_metric).tobytes()
+
+
+# sha256 of grad_norm_sq.tobytes() of a traced convex run on the quad fixture
+# (piecewise-linear schedule, T = 200, alpha = 0.5, seed 3), recorded while
+# every run traced ||grad f(x_k)||^2.
+GRAD_TRACES = {
+    "adaptive": "e44da594467a7b237e7f1901f2ca377e0047b949ef29e8cb87ce287a939f438d",
+    "variance_adaptive": "b15826ba885c3cf90aa1771fa75acf4abfc50a4b750d85860a7b993e3df9b7ac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_TRACES))
+def test_traced_convex_run_keeps_the_recorded_gradient_trace(quad, name):
+    sched = NoiseSchedule.piecewise_linear(200, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        policy = POLICIES[name](quad, sched, {})
+    runner = run_variance_adaptive if policy.uses_pairs else run_convex
+    rec = runner(Oracle(quad, sched, seed=3), policy, trace_values=True)
+    assert hashlib.sha256(rec.grad_norm_sq.tobytes()).hexdigest() == GRAD_TRACES[name]
 
 
 class TestVarianceAdaptiveRun:
