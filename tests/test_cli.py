@@ -707,6 +707,9 @@ class TestScheduleDump:
 
 
 class TestConfigHandling:
+    def test_missing_config_file(self, tmp_path):
+        assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
+
     @pytest.mark.parametrize("command, args", [
         ("run", ["--T", "50"]), ("sweep", ["--T", "50"]),
         ("verify", ["--suite", "jensen"])])
