@@ -40,7 +40,7 @@ class SquaredNorms:
 
     @staticmethod
     def sample(g: np.ndarray) -> float:
-        return float(g @ g)
+        return float(g.dot(g))
 
     def denominator(self, m: float) -> float:
         return math.sqrt(self.value) + m
@@ -58,7 +58,7 @@ class VarianceEMA(_EMA, SquaredNorms):
     @staticmethod
     def sample(g: np.ndarray, g2: np.ndarray) -> float:
         d = g - g2
-        return float(d @ d) / 2.0
+        return float(d.dot(d)) / 2.0
 
     update = _EMA.update
 

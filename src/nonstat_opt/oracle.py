@@ -31,13 +31,14 @@ class Oracle:
         self.seed = int(seed)
         self.query_count = 0
         self._rng = np.random.default_rng(self.seed)
-        self._sqrt_dim = np.sqrt(problem.dim)
+        self._sqrt_dim = float(np.sqrt(problem.dim))
+        self._scale = np.zeros(())  # level(k) / sqrt(dim)
         self._normals = np.empty(0)  # drawn and not yet used: _normals[_next:]
         self._next = 0
 
     def _noise(self, k: int, n: int) -> np.ndarray:
         """The stream's next n standard normals times level(k) / sqrt(dim)."""
-        scale = self.schedule.level(k) / self._sqrt_dim  # raises before any value is taken
+        self._scale[()] = self.schedule.level(k) / self._sqrt_dim  # a bad k takes nothing
         start, end = self._next, self._next + n
         if end > self._normals.size:  # the unused values lead the refilled buffer
             left = self._normals[start:]
@@ -45,7 +46,7 @@ class Oracle:
                 (left, self._rng.standard_normal(max(_BLOCK, n - left.size))))
             start, end = 0, n
         self._next = end
-        return self._normals[start:end] * scale
+        return self._normals[start:end] * self._scale
 
     def query(self, x: np.ndarray, k: int, with_true: bool = False):
         """One stochastic gradient at (x, k). Counts as a single query."""

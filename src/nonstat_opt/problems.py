@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
+
 
 def power_iteration(matrix: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration, from a
@@ -96,13 +99,13 @@ class Quadratic(Problem):
         super().__init__(x_star, 0.0, start, L)
 
     def value(self, x: np.ndarray) -> float:
-        r = self.A @ (np.asarray(x, dtype=float)) - self.b
-        return float(r @ r) / (2.0 * self.n)
+        r = self.A.dot(np.asarray(x, dtype=float)) - self.b
+        return float(r.dot(r)) / (2.0 * self.n)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         # A^T (A x - b) / n with b = A x_star, which the constructor sets: the
         # true gradient, zero at x_star.
-        return self.hessian @ (np.asarray(x, dtype=float) - self.x_star)
+        return self.hessian.dot(np.asarray(x, dtype=float) - self.x_star)
 
 
 def make_quadratic(seed: int, dim: int, n: int, radius: float = 1.0,
@@ -155,7 +158,8 @@ class SmoothNonconvex(Problem):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return 2.0 * x / (1.0 + x * x) ** 2
+        t = _ONE + x * x
+        return (x + x) / (t * t)  # x + x is 2x exactly
 
 
 def make_smooth_nonconvex(dim: int, radius: float = 1.0,

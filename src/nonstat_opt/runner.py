@@ -4,6 +4,9 @@ A run owns its oracle and policy, so many runs can execute concurrently
 without sharing mutable state. Iterate vectors are never retained: the
 stepsize-weighted average is accumulated online, and the nonconvex output
 index is drawn after the loop from the recorded stepsizes.
+
+Hot-path products go through ``ndarray.dot`` and per-iteration scalars are 0-d
+arrays: the same bits as ``@`` and floats (test_hot_path_forms_keep_the_bits).
 """
 from __future__ import annotations
 
@@ -15,6 +18,8 @@ import numpy as np
 from .estimator import SquaredNorms
 
 _SAMPLER_SALT = 0x5E11  # decorrelates the index-sampling stream from the oracle's
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 
 @dataclass
@@ -69,7 +74,7 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
                        squared_trace=isinstance(policy.estimator, SquaredNorms))
     if policy.estimator is not None:
         record.estimator_trace = np.zeros(T)
-    x = problem.start.astype(float)
+    x, step = problem.start.astype(float), np.zeros(())  # step holds eta_k
     if averaged:
         if trace_values:
             record.suboptimality = np.zeros(T)
@@ -84,26 +89,26 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
                 if not averaged and eta > cap * (1.0 + 1e-12):
                     raise ValueError(
                         f"stepsize {eta:.4g} exceeds the smoothness cap {cap:.4g}")
-                record.stepsizes[k - 1] = eta
+                record.stepsizes[k - 1] = step[()] = eta
                 if record.estimator_trace is not None:
                     record.estimator_trace[k - 1] = policy.estimator.value
                 if record.suboptimality is not None:
                     record.suboptimality[k - 1] = problem.value(x) - problem.f_star
                 if averaged:
-                    xbar_acc += eta * x
+                    xbar_acc += step * x
                 if policy.uses_pairs:
                     g1, g2, true_grad = oracle.query_pair(x, k, with_true=True)
                     policy.observe(g1, g2)
-                    g = 0.5 * (g1 + g2)
+                    g = _HALF * (g1 + g2)
                 else:
                     g, true_grad = oracle.query(x, k, with_true=True)
                     policy.observe(g)
                 if grad_sq is not None:
-                    grad_sq[k - 1] = true_grad @ true_grad
-                x = x - eta * g
-                # x @ x is finite unless an entry is inf or nan or the squares
+                    grad_sq[k - 1] = true_grad.dot(true_grad)
+                x = x - step * g
+                # x.x is finite unless an entry is inf or nan or the squares
                 # overflow (|x| above ~1e154), which the entrywise check clears
-                if not math.isfinite(x @ x) and not np.isfinite(x).all():
+                if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
                     raise ValueError("iterate overflow or NaN")
         except ValueError as exc:
             record.failed = True

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -203,3 +204,69 @@ def test_missing_samples_fail_the_change_and_keep_the_round(tmp_path, monkeypatc
     assert (rate["parent"]["missing"], rate["change"]["missing"]) == (0, 2)
     assert entry["metrics"]["wall_s"]["verdict"] == "pass"
     assert entry["claim"] == {"metric": "iters_per_s", "verdict": "no gain"}
+
+
+def test_src_hash_ties_a_round_to_its_code(tmp_path):
+    """tree_hash reads every file's relative path and bytes under src/ and
+    nothing under __pycache__: a copied tree hashes the same, a tree that
+    differs by one byte does not."""
+    tree = tmp_path / "a" / "src"
+    (tree / "pkg" / "__pycache__").mkdir(parents=True)
+    (tree / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+    (tree / "pkg" / "other.py").write_bytes(b"y = 2\n")
+    (tree / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"\x00\x01")
+    copy = tmp_path / "b" / "src"
+    shutil.copytree(tree, copy)
+    assert bench_pairs.tree_hash(tree) == bench_pairs.tree_hash(copy)
+    (copy / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"\x02")
+    (copy / "pkg" / "__pycache__" / "new.pyc").write_bytes(b"\x03")
+    assert bench_pairs.tree_hash(tree) == bench_pairs.tree_hash(copy)
+    (copy / "pkg" / "mod.py").write_bytes(b"x = 2\n")
+    assert bench_pairs.tree_hash(tree) != bench_pairs.tree_hash(copy)
+    # the same bytes under another name, or split at another file boundary
+    (copy / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+    assert bench_pairs.tree_hash(tree) == bench_pairs.tree_hash(copy)
+    (copy / "pkg" / "mod.py").rename(copy / "pkg" / "mod2.py")
+    assert bench_pairs.tree_hash(tree) != bench_pairs.tree_hash(copy)
+    (copy / "pkg" / "mod2.py").rename(copy / "pkg" / "mod.py")
+    (copy / "pkg" / "mod.py").write_bytes(b"x = 1\ny")
+    (copy / "pkg" / "other.py").write_bytes(b" = 2\n")
+    assert bench_pairs.tree_hash(tree) != bench_pairs.tree_hash(copy)
+    assert bench_pairs.tree_hash(tmp_path / "missing") is None
+
+
+FAKE_RUN = """import json, sys, time
+start = time.process_time()
+while time.process_time() - start < {burn}:
+    pass
+print(json.dumps({{"metrics": {{"wall_s": {{"value": 1.0}}}},
+                  "attempted": 1, "failed": 0, "correct": 1}}))
+"""
+
+
+def test_cpu_seconds_are_each_invocations_own(tmp_path, monkeypatch):
+    """Each run's cpu_s is the CPU its run.py invocation used, here a fake
+    run.py that burns a known amount, and the round reports them per side;
+    no verdict reads them. The round also carries each side's src/ hash."""
+    burn = {"parent": 0.2, "change": 0.5}
+    spec = {"run_seconds": 1, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    for side, seconds in burn.items():
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN.format(burn=seconds))
+        (tmp_path / side / "src").mkdir()
+        (tmp_path / side / "src" / "mod.py").write_text(f"side = {side!r}\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--pairs", "2", "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["workloads"]["w"]
+    for side, seconds in burn.items():
+        samples = [pair[side]["cpu_s"] for pair in entry["pairs"]]
+        # the interpreter's start-up adds a few tens of milliseconds
+        assert all(seconds <= s < seconds + 0.25 for s in samples), samples
+        assert entry["cpu_s"][side]["samples"] == samples
+        assert entry["src_sha256"][side] == bench_pairs.tree_hash(tmp_path / side / "src")
+    assert entry["src_sha256"]["parent"] != entry["src_sha256"]["change"]
+    assert entry["metrics"]["wall_s"]["verdict"] == "pass"

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, PairedAdaptiveStep,
                          SecondMomentEMA, VarianceEMA, bound_constant, constant_baseline, idealized_baseline,
@@ -13,7 +14,7 @@ from nonstat_opt import (FixedStep, NoiseSchedule, Oracle, PairedAdaptiveStep,
                          run_estimation_only, run_nonconvex, run_variance_adaptive,
                          weighted_index)
 from nonstat_opt.policy import POLICIES, AdaptiveStep
-from nonstat_opt.problems import Quadratic
+from nonstat_opt.problems import Quadratic, SmoothNonconvex
 
 
 @pytest.fixture()
@@ -455,3 +456,47 @@ def test_estimation_only_trace_semantics(quad):
     # zero noise at the minimizer: every sample is exactly zero
     assert np.all(trace == 0.0)
     assert oracle.query_count == T + 1
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.one_of(st.integers(1, 64), st.just(400)), extra_rows=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32 - 1),
+       exponents=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)).map(sorted))
+def test_hot_path_forms_keep_the_bits(dim, extra_rows, seed, exponents):
+    """Each form the loop and the code it calls use (runner's module docstring)
+    equals the form it replaced, byte for byte, on this BLAS: H.dot(v) and H @ v
+    for square and tall H, v.dot(v) and v @ v on whole vectors and on the two
+    halves of one pair buffer, a product with a 0-d array and with the Python
+    float or numpy scalar, and the non-convex gradient and 2x / (1 + x^2)^2.
+    Entries have magnitudes from 10^lo to 10^hi, inside [1e-150, 1e150]."""
+    lo, hi = exponents
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(lo, hi, shape)
+
+    v, pair = draw(dim), draw(2 * dim)
+    g1, g2 = pair[:dim], pair[dim:]
+    vectors = (v, g1, g2, g1 - g2)
+    for H in (draw(dim, dim), draw(dim + extra_rows, dim)):
+        for u in vectors:
+            assert _same_bits(H.dot(u), H @ u), "H.dot(v) != H @ v"
+    for u in vectors:
+        assert _same_bits(u.dot(u), u @ u), "v.dot(v) != v @ v"
+    e = float(draw())
+    for u in (*vectors, g1 + g2):
+        assert _same_bits(u * np.array(e), e * u), "x * np.array(e) != e * x"
+        assert _same_bits(np.array(e) * u, e * u), "np.array(e) * x != e * x"
+        assert _same_bits(u * np.array(e), u * np.float64(e)), \
+            "x * np.array(e) != x * np.float64(e)"
+        assert _same_bits(np.array(0.5) * u, 0.5 * u), "np.array(0.5) * x != 0.5 * x"
+    gradient = SmoothNonconvex(dim, np.zeros(dim)).gradient
+    with np.errstate(over="ignore"):  # (1 + x^2)^2 overflows from |x| ~ 1e77
+        for u in vectors:
+            assert _same_bits(gradient(u), 2.0 * u / (1.0 + u * u) ** 2), \
+                "non-convex gradient != 2x / (1 + x^2)^2"

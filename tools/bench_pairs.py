@@ -45,16 +45,24 @@ alternating which side runs first as the pairs do, for the per-layer split:
 one traced process moves layers that no change touched, so the round keeps
 every traced run and reports each per-layer metric's samples, median and
 quartiles per side. Each invocation appends one round to the workload's list
-in ``--out``, with both checkouts' git commits and the last run's environment,
-and keeps every round written before; every run, traced or not, keeps the load
-average it started under as ``loadavg_start``. The standard library is all it
-needs.
+in ``--out``, with both checkouts' git commits, a sha256 of each checkout's
+``src/`` tree (``src_sha256``, which ties a round to its code when a checkout is
+not a git repository) and the last run's environment, and keeps every round
+written before. Every run, traced or not, keeps the load average it started
+under as ``loadavg_start`` and the user + system CPU seconds of its whole
+run.py invocation, every process it waited for included, as ``cpu_s``; the
+round reports each side's ``cpu_s`` over its pairs. run.py runs processes for a
+fixed number of seconds, so a run whose ``cpu_s`` falls short of its peers
+waited for a CPU; a CPU that ran slower does not show in it. No verdict reads
+``cpu_s``. The standard library is all it needs.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -161,6 +169,27 @@ def commit_of(checkout: Path) -> str | None:
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
+def tree_hash(root: Path) -> str | None:
+    """sha256 over the sorted relative paths and the bytes of every file under
+    root, ``__pycache__`` excluded, each length-prefixed; None when root is not
+    a directory."""
+    if not root.is_dir():
+        return None
+    files = {path.relative_to(root).as_posix(): path for path in root.rglob("*")
+             if path.is_file() and "__pycache__" not in path.relative_to(root).parts}
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        for part in (name.encode("utf-8"), files[name].read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
+def children_cpu_s() -> float:
+    """User + system CPU seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float,
                   trace: int) -> dict:
     """One perfbench/run.py invocation: its metric values, checks and environment."""
@@ -196,11 +225,14 @@ def run_pairs(checkouts: dict, workload: str, seeds, seconds: float,
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
+            cpu_start = children_cpu_s()
             run = run_benchmark(checkouts[side], workload, seed, seconds, trace)
+            run["cpu_s"] = children_cpu_s() - cpu_start
             environment = keep_load(run)
             pair[side] = run
             print(f"{'traced' if trace else 'pair'} {i + 1}/{len(seeds)} seed {seed} "
-                  f"{side}: {json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
+                  f"{side}: {json.dumps(run['metrics'])} cpu_s {run['cpu_s']:.2f}",
+                  file=sys.stderr, flush=True)
         pairs.append(pair)
     return pairs, environment
 
@@ -240,10 +272,12 @@ def main(argv=None) -> int:
         "command": (f"python3 perfbench/run.py --workload {opts.workload} --seed N "
                     f"--seconds {seconds:g} --trace 0, in each checkout"),
         "commits": commits,
+        "src_sha256": {side: tree_hash(path / "src") for side, path in checkouts.items()},
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
         "metrics": metrics,
         "failed_operations": {**failed, "verdict": failures_verdict(failed)},
+        "cpu_s": {side: describe([p[side]["cpu_s"] for p in pairs]) for side in SIDES},
     }
     if opts.metric is not None:
         entry["claim"] = {"metric": opts.metric,
@@ -273,6 +307,8 @@ def main(argv=None) -> int:
             ratio += " median in [{:.4g}, {:.4g}]".format(*paired["median_interval"])
         print(f"{opts.workload} {name}: {' '.join(medians)} paired ratio {ratio} "
               f"wins {m['change_wins']}/{m['pairs']} {m['verdict']}")
+    print(f"{opts.workload} cpu_s: " + " ".join(
+        f"{side} {entry['cpu_s'][side]['median']:.4g}" for side in SIDES))
     if "claim" in entry:
         print(f"claim {opts.metric}: {entry['claim']['verdict']}")
     return 0
