@@ -6,10 +6,11 @@ Subcommands: ``run`` (one run, with its trajectory dump), ``sweep``
 
 Configuration lives in a JSON file whose keys, types and defaults are stated
 once, in ``SCHEMA``; a flag, stated once in ``FLAGS``, replaces its key's value
-before the one parse that converts every value, and each command takes from
-the file only the keys ``COMMANDS`` says it reads. Sweep output is byte-exact for
-a given config: cells run in the sorted order their rows are written in, and
-the wall-time column stays zero unless ``--timings`` asks for real wall times.
+before the one parse that converts every value. Each command reads only the
+keys ``COMMANDS`` lists for it, from the file and by their flags. Sweep output
+is byte-exact for a given config: cells run in the sorted order their rows are
+written in, and the wall-time column stays zero unless ``--timings`` asks for
+real wall times.
 """
 from __future__ import annotations
 
@@ -431,10 +432,9 @@ def _cmd_schedule_dump(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-# -- command-line flags: flag -> (config key it replaces, help, argparse options)
-# A key "section.name" is that section's key; None marks a flag that sets no key.
+# -- flags besides --config: flag -> (config key it replaces, help, argparse
+# options). A key "section.name" is that section's key; None marks no key.
 FLAGS = {
-    "--config": (None, "path to a JSON experiment config", {}),
     "--out": ("out", "output directory", {}),
     "--policy": ("policies", "comma-separated policy names", {}),
     "--T": ("T", "comma-separated horizons", {}),
@@ -447,33 +447,33 @@ FLAGS = {
     "--workers": (None, "accepted for compatibility; has no effect", {"type": int}),
     "--suite": (None, f"one of: {', '.join(SUITES)}, all", {"default": "all"}),
 }
-_RUN_FLAGS = ("--config", "--out", "--policy", "--T", "--alpha", "--seed",
-              "--m-coeff", "--bound-const", "--timings")
 
-# command -> (function, help, flags, the SCHEMA keys it reads)
+# command -> (function, help, the SCHEMA keys it reads, its flags that set no key)
 COMMANDS = {
-    "run": (_cmd_run, "execute a single run and dump its trajectory", _RUN_FLAGS,
-            tuple(SCHEMA)),
-    "sweep": (_cmd_sweep, "execute a policy x T x alpha x seed grid",
-              _RUN_FLAGS + ("--workers",), tuple(SCHEMA)),
-    "verify": (_cmd_verify, "run a named verification suite",
-               ("--config", "--out", "--suite"), ("out",)),
+    "run": (_cmd_run, "execute a single run and dump its trajectory", tuple(SCHEMA),
+            ("--timings",)),
+    "sweep": (_cmd_sweep, "execute a policy x T x alpha x seed grid", tuple(SCHEMA),
+              ("--timings", "--workers")),
+    "verify": (_cmd_verify, "run a named verification suite", ("out",), ("--suite",)),
     "schedule-dump": (_cmd_schedule_dump, "print schedule levels as CSV to stdout",
-                      ("--config", "--T", "--alpha"), ("schedule", "T", "alpha")),
+                      ("schedule", "T", "alpha"), ()),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command takes --config, the flag of each key it reads and its own
+    flags that set no key; argparse rejects any other flag."""
     parser = argparse.ArgumentParser(
         prog="nonstat-opt",
         description="SGD under non-stationary gradient noise: runs, sweeps and "
                     "guarantee verification")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags, _) in COMMANDS.items():
+    for name, (_, help_text, keys, own_flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        for flag in flags:
-            _, help_text, options = FLAGS[flag]
-            sub.add_argument(flag, help=help_text, **options)
+        sub.add_argument("--config", help="path to a JSON experiment config")
+        for flag, (key, help_text, options) in FLAGS.items():
+            if flag in own_flags or key and key.partition(".")[0] in keys:
+                sub.add_argument(flag, help=help_text, **options)
     return parser
 
 
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            command, _, _, keys = COMMANDS[args.command]
+            command, _, keys, _ = COMMANDS[args.command]
             return command(ExperimentConfig.load(args, keys), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

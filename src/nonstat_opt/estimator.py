@@ -72,7 +72,6 @@ class PowerEMA(_EMA):
         super().__init__(beta)
         self.p = float(p)
         self._inv_p = 1.0 / self.p
-        self._m = self._m_pow = None  # the last m and np.float64(m) ** p
 
     def sample(self, g: np.ndarray) -> float:
         return float(np.linalg.norm(g) ** self.p)
@@ -80,9 +79,7 @@ class PowerEMA(_EMA):
     update = _EMA.update
 
     def denominator(self, m: float) -> float:
-        if m != self._m:  # a run passes one m on every step
-            self._m, self._m_pow = m, np.float64(m) ** self.p
-        return float((self.value + self._m_pow) ** self._inv_p)
+        return float((self.value + np.float64(m) ** self.p) ** self._inv_p)
 
 
 class FirstMomentEMA(PowerEMA):

@@ -50,18 +50,18 @@ def weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     return int(hits[-1]) + 1
 
 
-def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecord:
+def _run(oracle, policy, trace_values: bool = False) -> RunRecord:
     """SGD x_{k+1} = x_k - eta_k g_k; paired policies step with the pair average.
 
     The problem, the horizon T (the schedule's length) and the seed are the
     oracle's. With an estimator, every run traces the estimator's value (read
-    by the ``regret`` column). ``averaged`` selects the output: the
-    stepsize-weighted average of the query points x_1..x_T, or a
+    by the ``regret`` column). ``problem.convex`` fixes the output: the
+    stepsize-weighted average x_bar of the query points x_1..x_T, or else a
     stepsize-weighted random index with eta_k <= 1/(2L) enforced; both read
     the recorded steps after the loop, summed by cumsum, in order as online
-    sums add (``sum`` is pairwise and moves the bits). A non-averaged run
+    sums add (``sum`` is pairwise and moves the bits). A non-convex run
     traces ||grad f(x_k)||^2, which its output index reads. ``trace_values``
-    adds, to an averaged run, the f(x_k) - f* trace (one value() call per
+    adds, to a convex run, the f(x_k) - f* trace (one value() call per
     iteration) and the ||grad f(x_k)||^2 trace; only the ``run`` command
     reads them, for its trajectory file and its printed noise ratio.
     eta_k is fixed before g_k is drawn. A ValueError in the loop (the cap, a
@@ -69,6 +69,7 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
     a failed record, "aborted at iteration k: <cause>", that keeps its queries.
     """
     problem, T, seed = oracle.problem, oracle.schedule.horizon, oracle.seed
+    averaged = problem.convex
     grad_sq = np.zeros(T) if trace_values or not averaged else None
     record = RunRecord(stepsizes=np.zeros(T), grad_norm_sq=grad_sq,
                        squared_trace=isinstance(policy.estimator, SquaredNorms))
@@ -127,29 +128,27 @@ def _run(oracle, policy, averaged: bool, trace_values: bool = False) -> RunRecor
 
 
 def run_convex(oracle, policy, trace_values: bool = False) -> RunRecord:
-    """SGD with output x_bar = sum(eta x)/sum(eta) over the query points x_1..x_T;
-    ``trace_values`` also records f(x_k) - f* at every iteration."""
+    """SGD on a convex problem."""
     if not oracle.problem.convex:
         raise ValueError("run_convex needs a convex problem")
-    return _run(oracle, policy, True, trace_values)
+    return _run(oracle, policy, trace_values)
 
 
 def run_nonconvex(oracle, policy) -> RunRecord:
-    """Single-sample SGD on a problem with a positive smoothness constant; outputs
-    a stepsize-weighted random iterate index and its squared gradient norm."""
+    """Single-sample SGD on a non-convex problem with a positive smoothness constant."""
+    if oracle.problem.convex:
+        raise ValueError("run_nonconvex needs a non-convex problem")
     if policy.uses_pairs:
         raise ValueError("paired policies go through run_variance_adaptive")
-    return _run(oracle, policy, False)
+    return _run(oracle, policy)
 
 
 def run_variance_adaptive(oracle, policy, trace_values: bool = False) -> RunRecord:
-    """Paired-sample run: step with the pair average, estimate the variance
-    from the pair difference. Convex problems report the weighted-average
-    output, with the f(x_k) - f* trace if ``trace_values``; others report a
-    stepsize-weighted random iterate."""
+    """Paired-sample SGD: step with the pair average, estimate the variance
+    from the pair difference."""
     if not policy.uses_pairs:
         raise ValueError("run_variance_adaptive needs a paired policy")
-    return _run(oracle, policy, oracle.problem.convex, trace_values)
+    return _run(oracle, policy, trace_values)
 
 
 def run_estimation_only(oracle, x: np.ndarray, estimator) -> np.ndarray:

@@ -133,6 +133,20 @@ class TestSweep:
         parallel = (tmp_path / "out" / "results.csv").read_bytes()
         assert serial == parallel
 
+    def test_timings_change_only_the_wall_time_column(self, tmp_path):
+        """--timings writes a non-negative integer wall time into the last
+        column; every other column keeps its bytes."""
+        cfg = write_config(tmp_path)
+        tables = []
+        for flags in ([], ["--timings"]):
+            assert main(["sweep", "--config", str(cfg), *flags]) == 0
+            data = (tmp_path / "out" / "results.csv").read_bytes()
+            tables.append([line.rsplit(b",", 1) for line in data.splitlines()])
+        plain, timed = tables
+        assert [row[0] for row in plain] == [row[0] for row in timed]
+        assert plain[0][1] == timed[0][1] == b"wall_time_ms"
+        assert all(row[1].isdigit() for row in timed[1:])
+
     def test_cells_run_in_row_order(self, tmp_path, monkeypatch):
         """A config listing its values out of order writes the sorted config's
         bytes, and its cells run in the order their rows are written."""
@@ -707,9 +721,6 @@ class TestScheduleDump:
 
 
 class TestConfigHandling:
-    def test_missing_config_file(self, tmp_path):
-        assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
-
     @pytest.mark.parametrize("command, args", [
         ("run", ["--T", "50"]), ("sweep", ["--T", "50"]),
         ("verify", ["--suite", "jensen"])])
@@ -1046,7 +1057,8 @@ def test_command_rejects_a_flag_it_does_not_read(tmp_path, monkeypatch, capsys,
 
 
 class TestReadme:
-    """The README's config example, flag list and library sketch match the code."""
+    """The README's config example, flag and key lists and library sketch match
+    the code."""
 
     TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -1065,6 +1077,14 @@ class TestReadme:
         documented = {command: set(re.findall(r"`(--[A-Za-z-]+)", flags))
                       for command, flags in items}
         assert documented == {command: flags_of(command) for command in cli.COMMANDS}
+
+    def test_key_lists_match_commands(self):
+        block = self.TEXT.split("\n## CLI\n", 1)[1].split("\n### ", 1)[0]
+        items = re.findall(r"^- `([a-z-]+)`: reads (.*?);", block, re.M | re.S)
+        documented = {command: set(SCHEMA) if keys == "every key"
+                      else set(re.findall(r"`(\w+)`", keys)) for command, keys in items}
+        assert documented == {command: set(keys)
+                              for command, (_, _, keys, _) in cli.COMMANDS.items()}
 
     def test_library_sketch_runs(self, capsys):
         _, block, *rest = self.TEXT.split("```python\n")

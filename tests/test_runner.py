@@ -237,6 +237,9 @@ def test_one_loop_contract(kind, name):
     assert rec.oracle_queries == oracle.query_count == arity * (T + init)
     # an untraced convex run has no output that reads ||grad f(x_k)||^2
     assert (rec.grad_norm_sq is None) == problem.convex
+    # the problem class fixes the output: x_bar if convex, else a sampled index
+    assert (rec.x_bar is not None) == problem.convex
+    assert (rec.sampled_index is not None) == (not problem.convex)
     # drop the estimator's seed draw, then require strict alternation
     loop_events = events[init:]
     assert loop_events == [(event, k) for k in range(1, T + 1)
@@ -335,6 +338,13 @@ class TestVarianceAdaptiveRun:
 
 
 class TestNonconvexRun:
+    def test_convex_problem_is_refused_before_any_query(self, quad):
+        """On a convex problem the loop would output x_bar, not a sampled index."""
+        oracle = Oracle(quad, NoiseSchedule.piecewise_linear(20, 0.3), seed=0)
+        with pytest.raises(ValueError, match="non-convex"):
+            run_nonconvex(oracle, AdaptiveStep(0.1, 1.0, SecondMomentEMA(0.9)))
+        assert oracle.query_count == 0
+
     def test_sampled_metric_comes_from_the_trace(self):
         T = 200
         prob = make_smooth_nonconvex(4, radius=1.0, seed=0)
