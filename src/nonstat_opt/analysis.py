@@ -18,16 +18,23 @@ REGIME_MATCHES_IDEALIZED = "matches-idealized"
 REGIME_BEATS_CONSTANT_ONLY = "beats-constant-only"
 REGIME_INCONCLUSIVE = "inconclusive"
 
+# The adaptive rates' constant C: 32 is proved, 4 is the headline statement's
+# and 12 the first-moment variant's.
+C_PROVED, C_HEADLINE, C_FIRST_MOMENT = 32, 4, 12
+RATE_CONSTANTS = (C_HEADLINE, C_PROVED, C_FIRST_MOMENT)  # the CLI's choices
+
 
 def _weighted_bound(head: float, weight: float, schedule, etas) -> float:
-    """(head + weight * sum eta_k^2 m_k^2) / sum eta_k over the whole horizon."""
+    """(head + weight * sum eta_k^2 m_k^2) / sum eta_k over the whole horizon:
+    inf where eta_k^2 overflows, nan where that meets a zero level."""
     etas = np.asarray(etas, dtype=float)
     if np.any(etas <= 0):
         raise ValueError("stepsizes must be positive")
     levels = schedule.levels()
     if etas.size != levels.size:
         raise ValueError("stepsize sequence must cover the whole horizon")
-    return (head + weight * float(np.sum(etas ** 2 * levels ** 2))) / float(etas.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (head + weight * float(np.sum(etas ** 2 * levels ** 2))) / float(etas.sum())
 
 
 def _harmonic(schedule, m: float) -> float:
@@ -56,12 +63,9 @@ def bound_idealized(radius: float, schedule) -> float:
     return 2.0 * radius * math.sqrt(schedule.horizon) / _harmonic(schedule, 0.0)
 
 
-def adaptive_bound(radius: float, schedule, m: float, constant: float = 32.0) -> float:
-    """High-probability adaptive rate (2R/sqrt(T)) * (C T / sum 1/(m_k + m)).
-
-    C = 32 is the proved constant, C = 4 the headline one, and C = 12 the
-    first-moment variant's. All three are selectable.
-    """
+def adaptive_bound(radius: float, schedule, m: float, constant: float = C_PROVED) -> float:
+    """High-probability adaptive rate (2R/sqrt(T)) * (C T / sum 1/(m_k + m)),
+    C = ``constant``."""
     T = schedule.horizon
     return (2.0 * radius / math.sqrt(T)) * (constant * T / _harmonic(schedule, m))
 
@@ -72,7 +76,7 @@ def stationarity_bound(delta: float, L: float, schedule, etas) -> float:
 
 
 def adaptive_stationarity_bound(delta: float, L: float, schedule, m: float,
-                                constant: float = 32.0) -> float:
+                                constant: float = C_PROVED) -> float:
     """Nonconvex adaptive rate sqrt(2 L delta / T) * (C T / sum 1/(s_k + m))."""
     T = schedule.horizon
     return math.sqrt(2.0 * L * delta / T) * (constant * T / _harmonic(schedule, m))
@@ -106,7 +110,7 @@ class BoundReport:
 
 
 def bound_report(radius: float, schedule, m: float,
-                 constant: float = 32.0) -> BoundReport:
+                 constant: float = C_PROVED) -> BoundReport:
     return BoundReport(
         constant_bound=bound_constant(radius, schedule),
         idealized_bound=bound_idealized(radius, schedule),

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -120,7 +119,8 @@ SCHEMA = {
                   "beta": (_optional(_range(_real, 0, 1, low_open=True)), None),
                   "p": (_optional(_range(_real, 0, low_open=True)), None),
                   "m_coeff": (_optional(_one_of(_int, 2, 8)), None),
-                  "bound_const": (_optional(_one_of(_int, 4, 32, 12)), 32),
+                  "bound_const": (_optional(_one_of(_int, *analysis.RATE_CONSTANTS)),
+                                  analysis.C_PROVED),
                   "window": (_optional(_range(_int, 1, sys.maxsize + 1)), None)},
     "out": (os.fspath, "results"),
 }
@@ -478,11 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Every command's entry point, and the one place RuntimeWarnings are silenced."""
+    """Every command's entry point. It ignores the numpy floating-point errors
+    that edge configs raise while building a cell or its bound; Python's
+    warning filters stay as they are."""
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with np.errstate(all="ignore"):
             command, _, keys, _ = COMMANDS[args.command]
             return command(ExperimentConfig.load(args, keys), args)
     except ConfigError as exc:

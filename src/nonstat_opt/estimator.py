@@ -67,8 +67,8 @@ class PowerEMA(_EMA):
     """value tracks an EMA of ||g||^p (Adamax-style generalisation)."""
 
     def __init__(self, beta: float, p: float):
-        if p <= 0:
-            raise ValueError(f"power p must be positive, got {p}")
+        if not (p > 0 and math.isfinite(p)):
+            raise ValueError(f"power p must be positive and finite, got {p}")
         super().__init__(beta)
         self.p = float(p)
         self._inv_p = 1.0 / self.p

@@ -13,7 +13,6 @@ first, then query the oracle, then call ``observe``.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import partial
 
 import numpy as np
@@ -29,17 +28,6 @@ def variance_m_base(max_level: float, horizon: int, coeff: float = 8.0) -> float
     """Noise part coeff * M * T^(-1/9) * ln(T)^(1/3) of the adaptive corrections m."""
     horizon = int(horizon)
     return coeff * max_level * horizon ** (-1.0 / 9.0) * math.log(horizon) ** (1.0 / 3.0)
-
-
-def _warn_below_regime(horizon: int) -> None:
-    """Warn when T is below the adaptive rules' guarantee regime
-    2 T^(-1/9) ln(T)^(1/3) <= 1, which holds from T = 1,465,239 on."""
-    largeness = variance_m_base(1.0, horizon, 2.0)
-    if largeness > 1.0:
-        warnings.warn(
-            f"horizon T={horizon} below the guarantee regime "
-            f"(2 T^(-1/9) ln(T)^(1/3) = {largeness:.3f} > 1); proceeding anyway",
-            RuntimeWarning, stacklevel=3)
 
 
 def _noise_energy(schedule) -> float:
@@ -115,8 +103,8 @@ class AdaptiveStep(StepPolicy):
     """eta_k = c / (m_hat_k + m); the estimator's denominator(m) is m_hat_k + m."""
 
     def __init__(self, c: float, m: float, estimator):
-        if c <= 0 or m < 0:
-            raise ValueError("need c > 0 and m >= 0")
+        if not (c > 0 and m >= 0 and math.isfinite(c) and math.isfinite(m)):
+            raise ValueError(f"need finite c > 0 and m >= 0, got c={c}, m={m}")
         self.c = float(c)
         self.m = float(m)
         self.estimator = estimator
@@ -194,18 +182,18 @@ def make_adaptive(radius: float, max_level: float, horizon: int,
     concentrate more tightly, which permits m = m_coeff * M * T^(-1/6) *
     ln(T)^(1/2) with m_coeff = 8 and raises the attainable speedup from
     T^(1/9) to T^(1/6). The analysis assumes 2 T^(-1/9) ln(T)^(1/3) <= 1
-    (cubed, the first-moment form 8 ln(T) <= T^(1/3)); smaller horizons only
-    get a warning, since small-T behaviour is itself of interest.
+    (cubed, the first-moment form 8 ln(T) <= T^(1/3)), which holds from
+    T = 1,465,239 on: variance_m_base(1.0, T, 2.0) > 1 below it. Smaller
+    horizons build all the same, since small-T behaviour is itself of interest.
     """
     horizon = int(horizon)
+    beta_default = default_beta(horizon)  # rejects T < 3 even when beta is given
     c = radius / math.sqrt(horizon) if c is None else c
-    _warn_below_regime(horizon)
     if m is None and estimator is FirstMomentEMA:
         m = ((8.0 if m_coeff is None else m_coeff) * max_level
              * horizon ** (-1.0 / 6.0) * math.sqrt(math.log(horizon)))
     elif m is None:
         m = variance_m_base(max_level, horizon, 2.0 if m_coeff is None else m_coeff)
-    beta_default = default_beta(horizon)  # rejects T < 3 even when beta is given
     beta = beta_default if beta is None else beta
     if estimator is WindowAverage:  # a width, not a decay
         est = WindowAverage(window if window is not None else max(1, horizon // 10))
@@ -226,6 +214,7 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
     c/(sigma_hat + m) at 1/(2L).
     """
     problem.step_cap()  # rejects an L that is None or not positive
+    beta_default = default_beta(horizon)  # rejects T < 3 even when beta is given
     if c is None:
         if problem.convex:
             c = problem.radius / math.sqrt(horizon)
@@ -233,35 +222,29 @@ def make_variance_adaptive(problem, max_level: float, horizon: int,
             c = math.sqrt(2.0 * problem.initial_gap() / (problem.L * horizon))
     m_base = variance_m_base(max_level, horizon, 8.0 if m_coeff is None else m_coeff)
     m = m_base + 2.0 * c * problem.L
-    beta = default_beta(horizon) if beta is None else beta
+    beta = beta_default if beta is None else beta
     return PairedAdaptiveStep(c, m, VarianceEMA(beta))
 
 
-def _nonconvex_steps(problem, kind: str, total: float, levels=1.0):
-    """Steps sqrt(2 delta / (L total)) / levels, clipped with a warning at the
-    guarantees' cap problem.step_cap() = 1/(2L), which needs a positive L; clipping
-    keeps runs valid when the noise floor is too low for the raw formula."""
+def _nonconvex_steps(problem, total: float, levels=1.0):
+    """Steps sqrt(2 delta / (L total)) / levels, clipped at the guarantees' cap
+    problem.step_cap() = 1/(2L), which needs a positive L; clipping keeps runs
+    valid when the noise floor is too low for the raw formula. A clipped step
+    equals step_cap() exactly."""
     cap, delta, L = problem.step_cap(), problem.initial_gap(), problem.L
     if delta <= 0:
         raise ValueError("delta must be positive")
-    etas = math.sqrt(2.0 * delta / (L * total)) / levels
-    if np.any(etas > cap):
-        warnings.warn(
-            f"{kind} nonconvex stepsizes exceed the smoothness cap 1/(2L)={cap:.4g}; "
-            "clipping", RuntimeWarning, stacklevel=3)
-        etas = np.minimum(etas, cap)
-    return etas
+    return np.minimum(math.sqrt(2.0 * delta / (L * total)) / levels, cap)
 
 
 def nonconvex_constant_baseline(problem, schedule) -> FixedStep:
     """eta = sqrt(2 delta / (L sum_k level_k^2)) at every k, clipped at 1/(2L)."""
-    return FixedStep(float(_nonconvex_steps(problem, "constant",
-                                            _noise_energy(schedule))))
+    return FixedStep(float(_nonconvex_steps(problem, _noise_energy(schedule))))
 
 
 def nonconvex_idealized_baseline(problem, schedule) -> ScheduledStep:
     """eta_k = sqrt(2 delta / (L T)) / level_k, clipped at 1/(2L)."""
-    return ScheduledStep(_nonconvex_steps(problem, "idealized", schedule.horizon,
+    return ScheduledStep(_nonconvex_steps(problem, schedule.horizon,
                                           _positive_levels(schedule)))
 
 

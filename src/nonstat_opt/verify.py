@@ -111,7 +111,8 @@ def _mean_under_bound(name, problem, schedule, method, seeds, slack, /, **detail
     """Mean final metric over the seeds at most slack x the method's bound at C = 32,
     the bound of a policy built as the runs' policies are."""
     finals = _finals(problem, schedule, method, seeds)
-    bound = pol.POLICIES[method](problem, schedule, {}).bound(problem, schedule, 32.0)
+    bound = pol.POLICIES[method](problem, schedule, {}).bound(problem, schedule,
+                                                              analysis.C_PROVED)
     return _at_most(name, float(np.mean(finals)), slack * bound, bound=bound,
                     seeds=len(seeds), **details)
 
@@ -220,8 +221,8 @@ def suite_theorem2() -> SuiteResult:
     for ov in ({"m_coeff": 2.0}, {"m_coeff": 8.0}):
         finals = _finals(problem, sched, "adaptive", seeds, ov)
         policy = pol.POLICIES["adaptive"](problem, sched, ov)  # as the runs built it
-        bound_proved = policy.bound(problem, sched, 32.0)
-        bound_stated = policy.bound(problem, sched, 4.0)
+        bound_proved = policy.bound(problem, sched, analysis.C_PROVED)
+        bound_stated = policy.bound(problem, sched, analysis.C_HEADLINE)
         crits.append(_at_least(
             f"half-under-bound-mcoeff{ov['m_coeff']:g}",
             float(np.mean(finals <= bound_proved)), 0.5,

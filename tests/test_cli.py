@@ -344,19 +344,30 @@ class TestSweep:
         assert rows[0][unreached] == rows[1][unreached]
         assert rows[0]["adaptive"] != rows[1]["adaptive"]
 
-    def test_only_main_silences_runtime_warnings(self, tmp_path):
-        """A library call of execute_run sees an adaptive cell's regime warning
-        at T=50; the same cell swept through main lets no RuntimeWarning out,
-        so none reaches stderr."""
+    def test_only_main_silences_runtime_warnings(self, tmp_path, capsys):
+        """Neither a library call of execute_run nor main emits a RuntimeWarning
+        on an adaptive cell at T=50, below the guarantee regime. main alone
+        ignores numpy's floating-point errors: on an edge config whose bound
+        overflows and whose idealized steps divide by a zero level, stderr holds
+        the failed cell's line and the summary line, and nothing else."""
         path = write_config(tmp_path, policies=["adaptive"], T=[50], seeds=[0])
         cfg = ExperimentConfig.parse(json.loads(path.read_text()))
-        with pytest.warns(RuntimeWarning, match="guarantee regime"):
-            row, _, _ = execute_run(cfg, build_problem(cfg), "adaptive", 50, 0.5, 0)
-        assert not row.failed
+        (tmp_path / "edge").mkdir()
+        edge = write_config(tmp_path / "edge", problem={"radius": 0.0},
+                            schedule={"kind": "constant", "level": 0.0},
+                            policies=["constant", "idealized"], seeds=[0],
+                            overrides={"c": 1e200})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            row, _, _ = execute_run(cfg, build_problem(cfg), "adaptive", 50, 0.5, 0)
             assert main(["sweep", "--config", str(path)]) == 0
+            capsys.readouterr()
+            assert main(["sweep", "--config", str(edge)]) == 1
+        assert not row.failed
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == (
+            "idealized T=60 alpha=0.5 seed=0 failed: stepsizes must be positive "
+            "and finite\nsome runs failed; see rows with final_metric=nan\n")
 
     @pytest.mark.parametrize("name", ["constant", "idealized"])
     def test_baseline_bound_is_the_bound_of_the_steps_taken(self, tmp_path, name):
@@ -515,25 +526,8 @@ class TestRunMode:
 
 
 class TestVerifyCommand:
-    def test_jensen_suite_report(self, tmp_path):
-        out = tmp_path / "v"
-        assert main(["verify", "--suite", "jensen", "--out", str(out)]) == 0
-        report = json.loads((out / "verify_report.json").read_text())
-        assert report["jensen"]["passed"] is True
-        names = {c["name"] for c in report["jensen"]["criteria"]}
-        assert "idealized-below-constant" in names
-
     def test_unknown_suite_is_a_config_error(self, tmp_path):
         assert main(["verify", "--suite", "nope", "--out", str(tmp_path)]) == 2
-
-    def test_regret_suite_report_serializes(self, tmp_path):
-        # regression: numpy scalars in suite results must not break the report
-        out = tmp_path / "v"
-        assert main(["verify", "--suite", "regret", "--out", str(out)]) == 0
-        report = json.loads((out / "verify_report.json").read_text())
-        assert report["regret"]["passed"] is True
-        for crit in report["regret"]["criteria"]:
-            assert isinstance(crit["measured"], float)
 
     # sha256 of verify_report.json, recorded while each criterion still computed
     # its own verdict beside the comparator it reports (adversarial: while each
@@ -581,23 +575,19 @@ class TestVerifyCommand:
         for radius, schedule, overrides, reason in cases:
             problem = build_problem(ExperimentConfig.parse(
                 {"problem": {"dim": 5, "n": 10, "radius": radius}}))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                finals = verify._finals(problem, schedule, "adaptive", [0, 1], overrides)
-                records = [runner.run_convex(
-                    Oracle(problem, schedule, seed=seed),
-                    POLICIES["adaptive"](problem, schedule, overrides)) for seed in (0, 1)]
+            finals = verify._finals(problem, schedule, "adaptive", [0, 1], overrides)
+            records = [runner.run_convex(
+                Oracle(problem, schedule, seed=seed),
+                POLICIES["adaptive"](problem, schedule, overrides)) for seed in (0, 1)]
             assert finals.tolist() == [np.inf, np.inf]
             assert [rec.failure_reason for rec in records] == [reason, reason]
-        # every idealized run overflows; the bound of its steps was read back
-        # from the last run's record and raised on the zeros it left
+        # every idealized run overflows, and the bound of its steps reads nan:
+        # each eta_k^2 overflows where level_k^2 underflows to 0
         problem = build_problem(ExperimentConfig.parse({"problem": {"dim": 5, "n": 10}}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            crit = verify._mean_under_bound("x", problem,
-                                            NoiseSchedule.custom([1e-200] * 60),
-                                            "idealized", [0, 1], 1.1)
-        assert not crit.passed and crit.measured == np.inf
+        crit = verify._mean_under_bound("x", problem,
+                                        NoiseSchedule.custom([1e-200] * 60),
+                                        "idealized", [0, 1], 1.1)
+        assert not crit.passed and crit.measured == np.inf and math.isnan(crit.bound)
 
     def test_failed_runs_fail_every_criterion(self, monkeypatch):
         """With every run failed, no criterion that reads runs passes: each
@@ -609,11 +599,9 @@ class TestVerifyCommand:
 
         for name in RUNNERS:
             monkeypatch.setattr(verify, name, failed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            results = [verify.run_suite(suite) for suite in (
-                "rates", "theorem1", "theorem2", "nonconvex", "adversarial",
-                "ordering")]
+        results = [verify.run_suite(suite) for suite in (
+            "rates", "theorem1", "theorem2", "nonconvex", "adversarial",
+            "ordering")]
         passed = [crit.name for result in results for crit in result.criteria
                   if crit.passed]
         assert sum(len(result.criteria) for result in results) == 16
@@ -1000,8 +988,7 @@ def hooked_runs(tmp_path_factory):
         return hooked
 
     work = tmp_path_factory.mktemp("hooked")
-    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with pytest.MonkeyPatch.context() as patch:
         for module in (cli, verify):
             for name in RUNNERS:
                 patch.setattr(module, name, counted(name, getattr(runner, name)))

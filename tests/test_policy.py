@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -114,10 +113,6 @@ class TestAdaptiveDefaults:
         assert make_adaptive(1.0, 1.0, 1000).estimator.beta == \
             pytest.approx(0.98, rel=1e-12)
 
-    def test_warns_below_guarantee_regime(self):
-        with pytest.warns(RuntimeWarning):
-            make_adaptive(1.0, 1.0, 100)
-
     def test_coefficient_override(self):
         m2 = make_adaptive(1.0, 1.0, 10 ** 6, m_coeff=2.0).m
         m8 = make_adaptive(1.0, 1.0, 10 ** 6, m_coeff=8.0).m
@@ -133,22 +128,40 @@ class TestFirstMomentDefaults:
                                          * math.sqrt(math.log(T)), rel=1e-12)
         assert policy.estimator.beta == pytest.approx(1 - 2 * T ** (-2 / 3), rel=1e-12)
 
-    def test_warns_below_regime(self):
-        with pytest.warns(RuntimeWarning):
-            make_adaptive(1.0, 1.0, 1000, estimator=FirstMomentEMA)
-
 
 @pytest.mark.parametrize("T", [3, 1000, 10 ** 5, 1_465_238, 1_465_239, 2 * 10 ** 6])
 def test_regime_warning_boundary(T):
     """Both rules share the regime 2 T^(-1/9) ln(T)^(1/3) <= 1, whose cube is
-    the first-moment form 8 ln T <= T^(1/3): both warn exactly up to 1,465,238,
-    and the warning points at make_adaptive's caller."""
+    the first-moment form 8 ln T <= T^(1/3): both fail it exactly up to
+    1,465,238, the README's "about 1.47 million". Both rules build at every T."""
+    below = T <= 1_465_238
+    assert (variance_m_base(1.0, T, 2.0) > 1.0) == below
+    assert (8.0 * math.log(T) > T ** (1.0 / 3.0)) == below
     for estimator in (SecondMomentEMA, FirstMomentEMA):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            make_adaptive(1.0, 1.0, T, estimator=estimator)
-        assert (len(caught) == 1) == (T <= 1_465_238), (estimator.__name__, T)
-        assert all(w.filename == __file__ for w in caught)
+        assert make_adaptive(1.0, 1.0, T, estimator=estimator).m > 0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AdaptiveStep(math.nan, 1.0, SecondMomentEMA(0.9)), "need finite c > 0"),
+    (lambda: AdaptiveStep(1.0, math.inf, SecondMomentEMA(0.9)), "need finite c > 0"),
+    (lambda: PairedAdaptiveStep(1.0, math.nan, VarianceEMA(0.9)), "need finite c > 0"),
+    (lambda: PowerEMA(0.9, math.nan), "power p must be positive and finite"),
+    (lambda: PowerEMA(0.9, math.inf), "power p must be positive and finite"),
+    (lambda: make_adaptive(1.0, 1.0, 0), "horizon must be at least 3"),
+    (lambda: make_adaptive(1.0, 1.0, -5, estimator=FirstMomentEMA),
+     "horizon must be at least 3"),
+    (lambda: make_variance_adaptive(make_quadratic(seed=0, dim=4, n=8), 1.0, 0),
+     "horizon must be at least 3"),
+    (lambda: make_variance_adaptive(make_quadratic(seed=0, dim=4, n=8), 1.0, -5),
+     "horizon must be at least 3"),
+], ids=["c-nan", "m-inf", "paired-m-nan", "p-nan", "p-inf", "adaptive-T0",
+        "first-moment-T-5", "variance-T0", "variance-T-5"])
+def test_non_finite_parameters_and_bad_horizons_are_value_errors(build, message):
+    """A non-finite c, m or p, or a horizon below 3, is refused at construction,
+    not met as an overflow at iteration 1, a ZeroDivisionError or a math
+    domain error."""
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def variance_correction(c, L, max_level, T=1000):
@@ -203,11 +216,13 @@ class TestNonconvexStepsizes:
         assert max(etas) <= 1.0 / (2 * prob.L) * (1 + 1e-12)
 
     def test_clipping_warns(self, prob):
+        """A step the raw formula puts above 1/(2L) is clipped to step_cap()
+        exactly, which is how a caller tells a clipped step."""
         sched = NoiseSchedule.constant(1e-6, 50)
-        with pytest.warns(RuntimeWarning):
-            policy = nonconvex_idealized_baseline(prob, sched)
+        policy = nonconvex_idealized_baseline(prob, sched)
         etas = [policy.stepsize(k) for k in range(1, 51)]
         assert max(etas) == pytest.approx(1.0 / (2 * prob.L), rel=1e-12)
+        assert max(etas) == prob.step_cap()
 
 
 class TestPolicyObjects:
@@ -215,14 +230,13 @@ class TestPolicyObjects:
         T = 50
         sched = NoiseSchedule.piecewise_linear(T, 0.5)
         prob = make_quadratic(seed=0, dim=4, n=8)
-        with pytest.warns(RuntimeWarning):
-            policies = [
-                make_adaptive(1.0, 1.0, T),
-                make_adaptive(1.0, 1.0, T, estimator=FirstMomentEMA),
-                make_adaptive(1.0, 1.0, T, estimator=PowerEMA, p=3.0),
-                make_adaptive(1.0, 1.0, T, estimator=WindowAverage, window=5),
-                make_variance_adaptive(prob, 1.0, T),
-            ]
+        policies = [
+            make_adaptive(1.0, 1.0, T),
+            make_adaptive(1.0, 1.0, T, estimator=FirstMomentEMA),
+            make_adaptive(1.0, 1.0, T, estimator=PowerEMA, p=3.0),
+            make_adaptive(1.0, 1.0, T, estimator=WindowAverage, window=5),
+            make_variance_adaptive(prob, 1.0, T),
+        ]
         from nonstat_opt import Oracle
         for policy in policies:
             oracle = Oracle(prob, sched, seed=1)

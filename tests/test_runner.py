@@ -111,8 +111,7 @@ class TestConvexRun:
         T = 40
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
         oracle = Oracle(quad, sched, seed=6)
-        with pytest.warns(RuntimeWarning):
-            pol = make_adaptive(quad.radius, 1.0, T)
+        pol = make_adaptive(quad.radius, 1.0, T)
         rec = run_convex(oracle, pol)
         assert rec.oracle_queries == T + 1
         assert rec.estimator_trace.size == T
@@ -132,8 +131,7 @@ class TestConvexRun:
         recs = []
         for _ in range(2):
             oracle = Oracle(quad, sched, seed=9)
-            with pytest.warns(RuntimeWarning):
-                pol = make_adaptive(quad.radius, 1.0, T)
+            pol = make_adaptive(quad.radius, 1.0, T)
             recs.append(run_convex(oracle, pol, trace_values=True))
         a, b = recs
         assert np.array_equal(a.stepsizes, b.stepsizes)
@@ -147,8 +145,7 @@ class TestConvexRun:
         sched = NoiseSchedule.constant(1.0, T)
         events = []
         oracle = SpyOracle(quad, sched, 1, events)
-        with pytest.warns(RuntimeWarning):
-            pol = SpyPolicy(make_adaptive(quad.radius, 1.0, T), events)
+        pol = SpyPolicy(make_adaptive(quad.radius, 1.0, T), events)
         run_convex(oracle, pol)
         # drop the estimator's init query, then require strict alternation
         loop_events = events[1:]
@@ -164,14 +161,12 @@ class TestConvexRun:
         T = 30
         flat = NoiseSchedule.constant(0.0, T)
         nonconvex = make_smooth_nonconvex(4, radius=1.0, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # T=50 regime warning
-            # no noise and a start at x*: the estimate and m are both 0
-            degenerate = make_adaptive(0.0, 0.0, 50, c=1.0, m=0.0)
-            small = make_quadratic(seed=0, dim=5, n=10)
-            huge = NoiseSchedule.custom([1e154] * 20)
-            # the window's sum of two ~1e308 samples rounds above the float range
-            overflowing_window = POLICIES["window"](small, huge, {})
+        # no noise and a start at x*: the estimate and m are both 0
+        degenerate = make_adaptive(0.0, 0.0, 50, c=1.0, m=0.0)
+        small = make_quadratic(seed=0, dim=5, n=10)
+        huge = NoiseSchedule.custom([1e154] * 20)
+        # the window's sum of two ~1e308 samples rounds above the float range
+        overflowing_window = POLICIES["window"](small, huge, {})
         cases = (  # runner, problem, schedule, policy, failure reason, queries
             (run_convex, quad, flat, FixedStep(1e200),
              "aborted at iteration 2: iterate overflow or NaN", 2),
@@ -221,9 +216,7 @@ def test_one_loop_contract(kind, name):
     sched = NoiseSchedule.piecewise_linear(T, 0.3)
     events = []
     build = POLICIES[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        policy = SpyPolicy(build(problem, sched, {}), events)
+    policy = SpyPolicy(build(problem, sched, {}), events)
     oracle = SpyOracle(problem, sched, 2, events)
     if policy.uses_pairs:
         rec = run_variance_adaptive(oracle, policy)
@@ -271,9 +264,7 @@ def test_value_trace_is_opt_in(quad, name):
     for T in (20, 80):
         sched = NoiseSchedule.piecewise_linear(T, 0.3)
         for trace_values in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                policy = build(problem, sched, {})
+            policy = build(problem, sched, {})
             runner = run_variance_adaptive if policy.uses_pairs else run_convex
             problem.value_calls = 0
             rec = runner(Oracle(problem, sched, seed=5), policy,
@@ -304,9 +295,7 @@ GRAD_TRACES = {
 @pytest.mark.parametrize("name", sorted(GRAD_TRACES))
 def test_traced_convex_run_keeps_the_recorded_gradient_trace(quad, name):
     sched = NoiseSchedule.piecewise_linear(200, 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        policy = POLICIES[name](quad, sched, {})
+    policy = POLICIES[name](quad, sched, {})
     runner = run_variance_adaptive if policy.uses_pairs else run_convex
     rec = runner(Oracle(quad, sched, seed=3), policy, trace_values=True)
     assert hashlib.sha256(rec.grad_norm_sq.tobytes()).hexdigest() == GRAD_TRACES[name]
